@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core import K2Compiler, OptimizationGoal
+from repro.api import K2Config
+from repro.core import OptimizationGoal
 from repro.corpus import get_benchmark
 from repro.synthesis import ParameterSetting
 
@@ -43,22 +44,22 @@ def run_search(benchmark_name: str,
                settings: Optional[List[ParameterSetting]] = None,
                num_workers: int = 1,
                executor: str = "auto",
-               sync_interval: Optional[int] = None,
-               engine: str = "decoded"):
+               sync_interval: Optional[int] = None):
     """Run the K2 search on one corpus benchmark and return (source, result).
 
-    ``num_workers``/``executor``/``sync_interval`` select the parallel
-    engine's dispatch backend and cross-chain sharing cadence; the defaults
-    keep the benches sequential and deterministic.  ``engine`` picks the
-    candidate execution engine (``decoded``/``legacy``); results are
-    bit-identical either way.
+    The search runs exactly what ``k2 optimize`` runs: a default
+    :class:`~repro.api.K2Config` with only the budget, goal, seed and
+    dispatch knobs set.  ``num_workers``/``executor``/``sync_interval``
+    select the parallel engine's dispatch backend and cross-chain sharing
+    cadence; the defaults keep the benches sequential and deterministic.
     """
     source = get_benchmark(benchmark_name).program()
-    compiler = K2Compiler(goal=goal, iterations_per_chain=iterations,
-                          num_parameter_settings=num_settings, seed=seed,
-                          num_workers=num_workers, executor=executor,
-                          sync_interval=sync_interval, engine=engine)
-    result = compiler.optimize(source, settings=settings)
+    config = K2Config(
+        goal="latency" if goal == OptimizationGoal.LATENCY else "size",
+        iterations=iterations, settings=num_settings, seed=seed,
+        num_workers=num_workers, executor=executor,
+        sync_interval=sync_interval)
+    result = config.compiler().optimize(source, settings=settings)
     return source, result
 
 

@@ -3,10 +3,9 @@
 One product domain — pointer provenance × tnums (known bits) × value
 intervals — analyzed over basic blocks with per-block input-state
 memoization, so the synthesis hot loop only re-analyzes the blocks an MCMC
-proposal actually changed.  Powers :class:`repro.safety.SafetyChecker` and
-:class:`repro.verifier.KernelChecker` in their default ``fused`` mode and
-the verification pipeline's static-safety pre-stage; select ``legacy`` via
-``SearchOptions.analysis`` / CLI ``--analysis`` for the ablation baseline.
+proposal actually changed.  Powers :class:`repro.safety.SafetyChecker`,
+:class:`repro.verifier.KernelChecker` and the verification pipeline's
+static-safety pre-stage.
 """
 
 from .analyzer import AbstractAnalyzer, AnalysisOutcome
@@ -20,18 +19,5 @@ __all__ = [
     "AbstractAnalyzer", "AnalysisOutcome", "AbsVal", "AnalysisState",
     "Tnum", "SafetyResult", "SafetyViolation", "SafetyViolationKind",
     "scalar_alu_transfer", "refine_branch", "transfer",
-    "ANALYSIS_KINDS", "resolve_analysis_kind",
 ]
 
-#: The selectable analysis implementations (the ``--analysis`` ablation).
-ANALYSIS_KINDS = ("fused", "legacy")
-
-
-def resolve_analysis_kind(kind) -> str:
-    """Normalize an ``--analysis`` value, defaulting to ``fused``."""
-    if kind is None:
-        return "fused"
-    if kind not in ANALYSIS_KINDS:
-        raise ValueError(f"unknown analysis kind {kind!r}; "
-                         f"choose from {', '.join(ANALYSIS_KINDS)}")
-    return kind

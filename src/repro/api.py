@@ -1,8 +1,7 @@
 """The stable public facade: one config type, four verbs.
 
 Everything the CLI can do is reachable programmatically through this
-module, with one typed :class:`K2Config` replacing the historical
-``K2Compiler(...)`` keyword sprawl::
+module, with one typed :class:`K2Config` holding every search knob::
 
     from repro import api
 
@@ -17,11 +16,9 @@ module, with one typed :class:`K2Config` replacing the historical
 is ``sync_interval`` and so on), so anything expressible on the command
 line is expressible here with the same names and defaults — the CLI
 itself is built on this module, which keeps the two from drifting.
-
-Compatibility: the pre-facade entry points (``K2Compiler(goal=...,
-iterations_per_chain=..., ...)`` and friends) keep working for one
-release behind deprecation shims that emit :class:`DeprecationWarning`;
-new code should construct a :class:`K2Config` and call these functions.
+``K2Config.compiler()`` gives the underlying
+:class:`~repro.core.K2Compiler` for callers that optimize many programs
+under one configuration.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ class K2Config:
     executor: str = "auto"
     sync_interval: Optional[int] = None
     engine: str = "batch"
-    analysis: str = "fused"
     portfolio: bool = False
     windowed: bool = False
     window_size: int = 24
@@ -122,7 +118,6 @@ class K2Config:
             sync_interval=self.sync_interval,
             equivalence=self.equivalence_options(),
             engine=self.engine,
-            analysis=self.analysis,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),
@@ -131,7 +126,7 @@ class K2Config:
             store_path=self.store)
 
     def compiler(self) -> K2Compiler:
-        return K2Compiler(options=self.search_options())
+        return K2Compiler(self.search_options())
 
     def job_spec(self, benchmark: Optional[str] = None,
                  program_text: Optional[str] = None, hook: str = "xdp",
@@ -154,7 +149,7 @@ class K2Config:
             settings=int(self.settings), seed=int(self.seed),
             sync_interval=sync_interval,
             num_workers=int(self.num_workers), executor=self.executor,
-            engine=self.engine, analysis=self.analysis,
+            engine=self.engine,
             windowed=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),

@@ -59,7 +59,7 @@ def _search_config(args: argparse.Namespace) -> api.K2Config:
         goal=args.goal, iterations=args.iterations, settings=args.settings,
         seed=args.seed, num_workers=args.num_workers, executor=args.executor,
         sync_interval=args.sync_interval, engine=args.engine,
-        analysis=args.analysis, windowed=args.windowed,
+        windowed=args.windowed,
         window_size=args.window_size, window_overlap=args.window_overlap,
         conflict_budget=args.conflict_budget)
     for flag in ("portfolio", "store", "verify_pipeline", "priority",
@@ -86,8 +86,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         program = api.benchmark_program(args.benchmark)
     else:
         program = api.load_program(args.program, args.hook)
-    safety = SafetyChecker(mode=args.analysis).check(program)
-    verdict = KernelChecker(mode=args.analysis).load(program)
+    safety = SafetyChecker().check(program)
+    verdict = KernelChecker().load(program)
     print(f"safety checker : {'safe' if safety.safe else 'UNSAFE'}")
     for violation in safety.violations:
         print(f"  - {violation}")
@@ -301,15 +301,6 @@ def main(argv=None) -> int:
                                "wins; bounds the incremental session's "
                                "worst case (Table 4) without giving up its "
                                "common-case speedups")
-    optimize.add_argument("--analysis", default="fused",
-                          choices=["fused", "legacy"],
-                          help="static safety analysis: 'fused' runs the "
-                               "unified incremental abstract interpreter "
-                               "(provenance x known-bits x intervals, "
-                               "per-block memoization across proposals, "
-                               "static-safety pipeline pre-stage), 'legacy' "
-                               "is the original two-pass analysis kept for "
-                               "ablation (default: %(default)s)")
     optimize.add_argument("--windowed", action="store_true",
                           help="windowed segment synthesis: slice the program "
                                "into overlapping windows, search each window "
@@ -360,10 +351,6 @@ def main(argv=None) -> int:
                        choices=[h.value for h in HookType],
                        help="BPF hook the program attaches to "
                             "(default: %(default)s)")
-    check.add_argument("--analysis", default="fused",
-                       choices=["fused", "legacy"],
-                       help="static analysis implementation for both "
-                            "checkers (default: %(default)s)")
     check.set_defaults(func=_cmd_check)
 
     corpus = sub.add_parser("corpus", help="list the benchmark corpus")
@@ -424,8 +411,6 @@ def main(argv=None) -> int:
                         choices=["auto", "serial", "process", "thread"])
     submit.add_argument("--engine", default=DEFAULT_ENGINE_KIND,
                         choices=list(ENGINE_KINDS))
-    submit.add_argument("--analysis", default="fused",
-                        choices=["fused", "legacy"])
     submit.add_argument("--windowed", action="store_true")
     submit.add_argument("--window-size", type=int, default=24, metavar="N")
     submit.add_argument("--window-overlap", type=int, default=8, metavar="N")

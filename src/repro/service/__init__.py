@@ -3,9 +3,10 @@
 The package turns the one-shot search pipeline into a long-lived local
 service:
 
-* :mod:`repro.service.protocol` — versioned, typed newline-delimited JSON
-  over a local socket (``AF_UNIX`` where available, loopback TCP
-  elsewhere), with a one-release compat shim for unversioned v0 peers;
+* :mod:`repro.service.protocol` — versioned (v1), typed newline-delimited
+  JSON over a local socket (``AF_UNIX`` where available, loopback TCP
+  elsewhere); requests from any other protocol generation get a
+  structured ``unsupported-proto`` error;
 * :mod:`repro.service.jobs` — job specs, states, priorities and the
   journaled queue that survives daemon restarts;
 * :mod:`repro.service.daemon` — :class:`K2Daemon`: the concurrent

@@ -1,8 +1,7 @@
 """Client side of the serve protocol: what ``k2 submit`` etc. talk through.
 
-Speaks protocol v1 (typed requests carrying ``proto``/capabilities; see
-:mod:`repro.service.protocol`) and understands both v1 structured errors
-and legacy v0 string errors, so one client binary spans a daemon upgrade.
+Speaks protocol v1 (typed requests carrying ``proto``/capabilities and
+structured ``{code, message}`` errors; see :mod:`repro.service.protocol`).
 
 Two interaction shapes:
 
@@ -51,7 +50,7 @@ class DaemonClient:
 
         Typed callers go through :meth:`request_typed`; this stays public
         because a dict in, dict out escape hatch is the cheapest way to
-        poke a daemon (and what the v0-compat tests speak).
+        poke a daemon (and what the protocol tests speak).
         """
         try:
             sock = protocol.connect(self.state_dir, timeout=self.timeout)

@@ -57,7 +57,6 @@ class JobSpec:
     num_workers: int = 1
     executor: str = "auto"
     engine: str = "batch"
-    analysis: str = "fused"
     windowed: bool = False
     window_size: int = 24
     window_overlap: int = 8
@@ -132,7 +131,6 @@ class JobSpec:
             num_workers=int(self.num_workers),
             executor=self.executor,
             engine=self.engine,
-            analysis=self.analysis,
             window_mode=bool(self.windowed),
             window_size=int(self.window_size),
             window_overlap=int(self.window_overlap),

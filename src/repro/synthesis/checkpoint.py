@@ -18,8 +18,7 @@ search trajectory observes is captured exactly:
   (:mod:`repro.bpf.encoder`);
 * the test suite's counterexample tail (initial tests are regenerated from
   the seed, so only post-seed additions are stored);
-* the verification pipeline's replay pool, adaptive refutation counts and
-  per-stage counters;
+* the verification pipeline's replay pool and per-stage counters;
 * the equivalence cache with per-entry provenance (local / cross-chain /
   store-preseeded), so post-resume hit accounting matches the original run.
 
@@ -59,33 +58,9 @@ __all__ = ["CHECKPOINT_VERSION", "capture_chain_state", "decode_chain_state",
 #: incompatible (cold start) instead of being misinterpreted.
 #: v2: ``chain_index_offset`` joined the options signature (shard-local
 #: controllers seed chains by global index; see ``repro.service.shards``).
-CHECKPOINT_VERSION = 2
-
-
-# --------------------------------------------------------------------------- #
-# Frozen keys: ``ProgramInput.freeze_key()`` tuples nest bytes, so the plain
-# key codec of repro.store.serialize (ints/strings only) cannot carry them.
-# --------------------------------------------------------------------------- #
-def encode_frozen(value):
-    if isinstance(value, tuple):
-        return {"t": [encode_frozen(part) for part in value]}
-    if isinstance(value, bytes):
-        return {"b": value.hex()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"unsupported frozen-key element {type(value).__name__}")
-
-
-def decode_frozen(encoded):
-    if isinstance(encoded, dict):
-        if "t" in encoded:
-            return tuple(decode_frozen(part) for part in encoded["t"])
-        if "b" in encoded:
-            return bytes.fromhex(encoded["b"])
-        raise ValueError("bad frozen-key element")
-    if encoded is None or isinstance(encoded, (bool, int, str)):
-        return encoded
-    raise ValueError(f"bad frozen-key element {type(encoded).__name__}")
+#: v3: the chain state lost ``refute_counts`` and the signature lost the
+#: ``engine`` and ``analysis`` knobs.
+CHECKPOINT_VERSION = 3
 
 
 # --------------------------------------------------------------------------- #
@@ -148,7 +123,6 @@ def capture_chain_state(chain: MarkovChain) -> dict:
     Valid only at a generation boundary (no in-flight proposal, solver
     sessions dropped) — exactly where the controller calls it.
     """
-    pool_tests, refute_counts = chain.pipeline.export_replay_state()
     suite = chain.tests
     return {
         "rng": encode_rng_state(chain.rng.getstate()),
@@ -168,9 +142,8 @@ def capture_chain_state(chain: MarkovChain) -> dict:
         "suite_extras": [encode_test(test)
                          for test in suite.tests[suite.num_initial:]],
         "pipeline_stats": chain.pipeline.stats.as_dict(),
-        "replay_pool": [encode_test(test) for test in pool_tests],
-        "refute_counts": [[encode_frozen(key), int(count)]
-                          for key, count in refute_counts.items()],
+        "replay_pool": [encode_test(test)
+                        for test in chain.pipeline.export_replay_pool()],
         "cache": encode_cache_state(chain.pipeline.cache.snapshot_state()),
     }
 
@@ -200,8 +173,6 @@ def decode_chain_state(state: dict) -> dict:
                          for test in state["suite_extras"]],
         "pipeline_stats": dict(state["pipeline_stats"]),
         "replay_pool": [decode_test(test) for test in state["replay_pool"]],
-        "refute_counts": {decode_frozen(key): int(count)
-                          for key, count in state["refute_counts"]},
         "cache": decode_cache_state(state["cache"]),
     }
 
@@ -236,8 +207,7 @@ def apply_chain_state(chain: MarkovChain, decoded: dict) -> None:
     for test in decoded["suite_extras"]:
         suite.add_counterexample(test)
     chain.pipeline.stats.load_dict(decoded["pipeline_stats"])
-    chain.pipeline.restore_replay_state(
-        chain.source, decoded["replay_pool"], decoded["refute_counts"])
+    chain.pipeline.restore_replay_pool(decoded["replay_pool"])
     chain.pipeline.cache = EquivalenceCache.restore_state(decoded["cache"])
 
 
@@ -250,9 +220,10 @@ def options_signature(source, settings, options, proposal_region,
 
     A resumed controller whose signature differs from the checkpoint's
     would not replay the original trajectory, so any mismatch degrades to
-    a cold start.  Wall-clock and purely-operational knobs (executor kind,
-    worker count, retry budgets) are deliberately absent — they never touch
-    the trajectory, and a run may legitimately resume under different ones.
+    a cold start.  Wall-clock and purely-operational knobs (execution
+    engine, executor kind, worker count, retry budgets) are deliberately
+    absent — they never touch the trajectory (engines are bit-identical by
+    contract), and a run may legitimately resume under different ones.
     """
     return [
         CHECKPOINT_VERSION,
@@ -264,8 +235,6 @@ def options_signature(source, settings, options, proposal_region,
         len(settings),
         bool(options.share_cache),
         bool(options.share_counterexamples),
-        str(getattr(options, "engine", None)),
-        str(getattr(options, "analysis", None)),
         bool(getattr(options, "store_preseed_counterexamples", False)),
         int(getattr(options, "chain_index_offset", 0)),
         None if proposal_region is None else list(proposal_region),

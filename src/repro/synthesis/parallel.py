@@ -144,12 +144,12 @@ def run_chain_generation(unit: ChainWorkUnit) -> ChainWorkUnitResult:
     if unit.shared_counterexamples:
         chain.receive_counterexamples(unit.shared_counterexamples)
     analyzer = chain.pipeline.analyzer
-    if unit.shared_analysis_entries and analyzer is not None:
+    if unit.shared_analysis_entries:
         analyzer.seed_program_memo(unit.shared_analysis_entries)
     result = chain.run(unit.iterations,
                        time_budget_seconds=unit.time_budget_seconds)
     analysis_entries = {}
-    if unit.export_analysis and analyzer is not None:
+    if unit.export_analysis:
         analysis_entries = analyzer.export_program_memo()
     return ChainWorkUnitResult(chain_index=unit.chain_index, chain=chain,
                                result=result,
@@ -614,7 +614,6 @@ class ChainController:
             equivalence_options=options.equivalence,
             cache=cache,
             engine=engine,
-            analysis=getattr(options, "analysis", None),
             proposal_region=self.proposal_region,
             keep_nops=self.keep_nops)
 

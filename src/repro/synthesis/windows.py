@@ -38,7 +38,6 @@ import dataclasses
 import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..analysis import AbstractAnalyzer, resolve_analysis_kind
 from ..bpf.cfg import build_cfg
 from ..bpf.liveness import compute_liveness
 from ..bpf.program import BpfProgram
@@ -196,7 +195,7 @@ class WindowedScheduler:
             settings = all_parameter_settings(options.goal)[
                 :options.num_parameter_settings]
         if self.kernel_checker is None:
-            self.kernel_checker = KernelChecker(mode=options.analysis)
+            self.kernel_checker = KernelChecker()
 
         plan = plan_windows(source, options.window_size,
                             options.window_overlap)
@@ -364,11 +363,8 @@ class WindowedScheduler:
         if stitched.same_instructions(source):
             return None, None, 0
 
-        analyzer = AbstractAnalyzer() \
-            if resolve_analysis_kind(options.analysis) == "fused" else None
         pipeline = VerificationPipeline(options=options.equivalence,
-                                        engine=create_engine(options.engine),
-                                        analyzer=analyzer)
+                                        engine=create_engine(options.engine))
         outcome = pipeline.verify(source, stitched)
         PipelineStats.merge_dicts(verification, pipeline.stats.as_dict())
         if not outcome.result.equivalent:

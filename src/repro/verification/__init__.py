@@ -3,7 +3,7 @@
 The :class:`VerificationPipeline` is the single entry point the synthesis
 loop uses to decide whether a candidate is formally equivalent to the
 source program (paper §4–§5); see :mod:`repro.verification.pipeline`.  The
-optional leading static-safety stage (fused analyzer pre-check) rejects
+leading static-safety stage (fused analyzer pre-check) rejects
 provably-unsafe candidates before any execution or solver work.
 """
 

@@ -2,12 +2,12 @@
 
 :class:`VerificationPipeline` owns the whole "is this candidate equivalent
 to the source?" path of the synthesis loop.  A candidate escalates through
-explicit, pluggable stages — interpreter replay, cache lookup, window
-(modular) checking, full symbolic checking — each returning a typed
-:class:`~repro.verification.stages.StageVerdict`; the first conclusive
-verdict wins.  Per-stage attempt/accept/reject/escalate counters and wall
-clock are kept in :class:`PipelineStats`, which is what the Table 4/6
-benches and the CLI summary report.
+explicit, pluggable stages — static safety, interpreter replay, cache
+lookup, window (modular) checking, full symbolic checking — each
+returning a typed :class:`~repro.verification.stages.StageVerdict`; the
+first conclusive verdict wins.  Per-stage attempt/accept/reject/escalate
+counters and wall clock are kept in :class:`PipelineStats`, which is what
+the Table 4/6 benches and the CLI summary report.
 
 The pipeline owns the single :class:`~repro.equivalence.EquivalenceOptions`
 instance for the whole path (the §5 toggles used to be threaded separately
@@ -32,6 +32,7 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
 from ..equivalence import (
@@ -104,21 +105,12 @@ class PipelineStats:
             name: StageStats() for name in stage_names}
         self.queries = 0
         self.inconclusive = 0
-        # Adaptive-replay counters: refutations caught by the small scalar
-        # probe vs the full lockstep batch, and how often the pool order
-        # actually differed from insertion order.
-        self.replay_probe_refutes = 0
-        self.replay_batch_refutes = 0
-        self.replay_reorders = 0
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         summary = {name: stats.as_dict() for name, stats in self.stages.items()}
         summary["_pipeline"] = {
             "queries": self.queries,
             "inconclusive": self.inconclusive,
-            "replay_probe_refutes": self.replay_probe_refutes,
-            "replay_batch_refutes": self.replay_batch_refutes,
-            "replay_reorders": self.replay_reorders,
         }
         return summary
 
@@ -144,11 +136,6 @@ class PipelineStats:
         pipeline = snapshot.get("_pipeline", {})
         self.queries = int(pipeline.get("queries", 0))
         self.inconclusive = int(pipeline.get("inconclusive", 0))
-        self.replay_probe_refutes = int(
-            pipeline.get("replay_probe_refutes", 0))
-        self.replay_batch_refutes = int(
-            pipeline.get("replay_batch_refutes", 0))
-        self.replay_reorders = int(pipeline.get("replay_reorders", 0))
 
     @staticmethod
     def merge_dicts(into: Dict[str, Dict[str, float]],
@@ -178,7 +165,7 @@ class PipelineOutcome:
 
 
 class VerificationPipeline:
-    """Escalate candidates through replay → cache → window → full symbolic."""
+    """Escalate candidates through safety → replay → cache → window → full."""
 
     def __init__(self, options: Optional[EquivalenceOptions] = None,
                  cache: Optional[EquivalenceCache] = None,
@@ -186,16 +173,15 @@ class VerificationPipeline:
                  interpreter: Optional[Interpreter] = None,
                  max_pool_size: int = 64,
                  engine=None,
-                 analyzer=None,
-                 replay_probe_size: int = 4):
+                 analyzer: Optional[AbstractAnalyzer] = None):
         self.options = options or EquivalenceOptions()
         self.cache = cache if cache is not None else EquivalenceCache()
-        #: Fused abstract analyzer backing the static-safety pre-stage; when
-        #: None (e.g. the ``--analysis legacy`` ablation) the stage is
-        #: omitted entirely.  The search loop passes the analyzer instance
-        #: shared with its :class:`~repro.safety.SafetyChecker`, so stage
-        #: verdicts are program-memo hits.
-        self.analyzer = analyzer
+        #: Fused abstract analyzer backing the static-safety pre-stage.  The
+        #: search loop passes the analyzer instance shared with its
+        #: :class:`~repro.safety.SafetyChecker`, so stage verdicts are
+        #: program-memo hits; standalone pipelines get a fresh one.
+        self.analyzer = analyzer if analyzer is not None \
+            else AbstractAnalyzer()
         # One long-lived execution engine feeds the replay stage (and is
         # shared with the owning chain's test suite when the caller passes
         # the same instance); ``interpreter`` is the pre-engine name for the
@@ -216,18 +202,15 @@ class VerificationPipeline:
         if stages is not None:
             self.stages: List[VerificationStage] = stages
         else:
-            self.stages = []
-            if self.analyzer is not None:
-                self.stages.append(StaticSafetyStage())
-            self.stages.extend([InterpreterReplayStage(),
-                                CacheLookupStage(),
-                                WindowCheckStage(self.window_checker),
-                                FullSymbolicStage(self.checker)])
+            self.stages = [StaticSafetyStage(),
+                           InterpreterReplayStage(),
+                           CacheLookupStage(),
+                           WindowCheckStage(self.window_checker),
+                           FullSymbolicStage(self.checker)]
         self.stats = PipelineStats(tuple(s.name for s in self.stages))
         #: Counterexample pool feeding the replay stage, newest last.
         self._pool: List[ProgramInput] = []
         self._pool_keys: set = set()
-        self._pool_key_list: List = []
         self._max_pool_size = max_pool_size
         #: Source outputs for the pool, recomputed when the source changes.
         self._pool_outputs: List[ProgramOutput] = []
@@ -235,15 +218,6 @@ class VerificationPipeline:
         #: once per pool refresh, not once per candidate.
         self._pool_observables: List[tuple] = []
         self._pool_source_key = None
-        #: Adaptive replay: per-test refutation counts (keyed by the test's
-        #: freeze key), reset whenever the source program changes.  Tests
-        #: that refuted recent candidates replay first, so the
-        #: first-divergence early exit fires in O(1) expected tests for
-        #: doomed candidates.
-        self._refute_counts: Dict = {}
-        #: How many top-ranked tests the replay stage runs as a scalar
-        #: probe before committing to the full lockstep batch.
-        self.replay_probe_size = replay_probe_size
 
     # ------------------------------------------------------------------ #
     # Counterexample pool
@@ -254,7 +228,6 @@ class VerificationPipeline:
         if key in self._pool_keys or len(self._pool) >= self._max_pool_size:
             return False
         self._pool_keys.add(key)
-        self._pool_key_list.append(key)
         self._pool.append(test)
         # Keep cached source outputs aligned by appending lazily in
         # _refresh_pool (invalidate the shorter cache here).
@@ -264,17 +237,11 @@ class VerificationPipeline:
     def pool_size(self) -> int:
         return len(self._pool)
 
-    def record_refutation(self, test: ProgramInput) -> None:
-        """Bump the refutation-frequency rank of a distinguishing input."""
-        key = test.freeze_key()
-        self._refute_counts[key] = self._refute_counts.get(key, 0) + 1
-
     def _refresh_pool(self, source: BpfProgram) -> None:
         key = source.structural_key()
         if self._pool_source_key != key:
             self._pool_outputs = []
             self._pool_observables = []
-            self._refute_counts = {}
             self._pool_source_key = key
         missing = self._pool[len(self._pool_outputs):]
         if missing:
@@ -283,57 +250,30 @@ class VerificationPipeline:
             self._pool_observables.extend(
                 output.observable() for output in fresh)
 
-    def replay_entries(self, source: BpfProgram) -> List[Tuple[ProgramInput, ProgramOutput]]:
-        """(input, source output) pairs for the replay stage, pool order."""
+    def replay_pool(self, source: BpfProgram
+                    ) -> Tuple[List[ProgramInput], List[tuple]]:
+        """Pooled tests (insertion order) and their source observables."""
         self._refresh_pool(source)
-        return list(zip(self._pool, self._pool_outputs))
-
-    def replay_plan(self, source: BpfProgram) -> Tuple[List[ProgramInput], List[tuple]]:
-        """Pooled tests and their precomputed source observables, ordered
-        by descending refutation frequency (ties keep pool order)."""
-        self._refresh_pool(source)
-        pool = self._pool
-        counts = self._refute_counts
-        if not counts:
-            return list(pool), list(self._pool_observables)
-        keys = self._pool_key_list
-        order = sorted(range(len(pool)),
-                       key=lambda i: (-counts.get(keys[i], 0), i))
-        if any(position != index for position, index in enumerate(order)):
-            self.stats.replay_reorders += 1
-        return ([pool[index] for index in order],
-                [self._pool_observables[index] for index in order])
+        return self._pool, self._pool_observables
 
     # ------------------------------------------------------------------ #
     # Checkpointing (crash-recoverable chains; repro.synthesis.checkpoint)
     # ------------------------------------------------------------------ #
-    def export_replay_state(self):
-        """Pool tests (in insertion order) and refutation counts.
+    def export_replay_pool(self) -> List[ProgramInput]:
+        """Pool tests in insertion order."""
+        return list(self._pool)
 
-        Counts are keyed by test freeze key; a count can reference a test
-        the bounded pool rejected, so the two collections are exported
-        separately.
-        """
-        return list(self._pool), dict(self._refute_counts)
-
-    def restore_replay_state(self, source, tests, refute_counts) -> None:
-        """Rebuild the replay pool and the adaptive ordering state.
-
-        ``source`` pins the pool's source key so the restored refutation
-        counts survive the next :meth:`verify` (a ``None`` key would read
-        as a source change and reset them).  The derived caches (source
-        outputs, observables) are recomputed lazily on the next query,
-        exactly as after a process-pool hop.
-        """
+    def restore_replay_pool(self, tests) -> None:
+        """Rebuild the replay pool; derived source outputs and observables
+        are recomputed lazily on the next query, exactly as after a
+        process-pool hop."""
         self._pool = []
         self._pool_keys = set()
-        self._pool_key_list = []
         for test in tests:
             self.add_counterexample(test)
         self._pool_outputs = []
         self._pool_observables = []
-        self._pool_source_key = source.structural_key()
-        self._refute_counts = dict(refute_counts)
+        self._pool_source_key = None
 
     # ------------------------------------------------------------------ #
     def begin_generation(self) -> None:
@@ -386,8 +326,5 @@ class VerificationPipeline:
             self.cache.store(candidate, final)
         if final.counterexample is not None:
             self.add_counterexample(final.counterexample)
-            # Feed the adaptive replay ordering: this input just refuted a
-            # candidate, whether the replay stage or a solver tier found it.
-            self.record_refutation(final.counterexample)
         return PipelineOutcome(result=final, verdicts=verdicts,
                                concluded_by=concluded_by)

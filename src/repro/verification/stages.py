@@ -6,6 +6,8 @@ paper's §5 (and mirrored by the Table 4/6 ablations):
 ========  =======================================  ==================
 stage     what it does                              paper section
 ========  =======================================  ==================
+safety    reject candidates the fused abstract      §6
+          interpreter proves unsafe
 replay    interpret the candidate on pooled         §3.2 (test-based
           counterexamples from earlier queries      pruning, Fig. 1)
 cache     look up the candidate's canonical form    §5 optimization V
@@ -24,6 +26,12 @@ A stage returns a :class:`StageVerdict` whose outcome is one of:
   counterexample); the pipeline stops.
 * ``escalate`` — the stage could not decide; the next tier runs.
 * ``skip`` — the stage is disabled or not applicable to this query.
+
+Inside the search loop the ``safety`` and ``replay`` stages decide nothing:
+every candidate reaching the pipeline has already passed the chain's own
+safety check and a test suite that contains every pooled counterexample.
+They stay as cheap safeguards for standalone pipelines (benches, library
+users, stage lists without a test suite in front).
 """
 
 from __future__ import annotations
@@ -118,9 +126,6 @@ class StaticSafetyStage(VerificationStage):
 
     name = "safety"
 
-    def enabled(self, pipeline) -> bool:
-        return pipeline.analyzer is not None
-
     def run(self, pipeline, source, candidate, window) -> StageVerdict:
         candidate_outcome = pipeline.analyzer.analyze(candidate)
         if candidate_outcome.safe:
@@ -146,12 +151,10 @@ class InterpreterReplayStage(VerificationStage):
     inputs, so a handful of interpreter runs can refute them without any
     symbolic work (the Fig. 1 feedback edge, applied inside the pipeline).
 
-    The stage is *adaptive*: the pipeline ranks pooled tests by how often
-    each one refuted a recent candidate (``replay_plan``), a small probe of
-    the top-ranked tests runs first, and only probe survivors pay for the
-    full batch — which the lockstep tier executes vectorized, against
-    observables precomputed once per pool refresh rather than re-derived
-    per candidate.
+    The whole pool runs as one engine batch in insertion order — the
+    lockstep tier executes it vectorized, against observables precomputed
+    once per pool refresh — and the engine stops at the first test whose
+    observable diverges from the source's.
 
     Inside the search loop this stage is a cheap no-op safeguard: the same
     counterexamples also join the chain's test suite, so candidates reaching
@@ -167,53 +170,28 @@ class InterpreterReplayStage(VerificationStage):
         return pipeline.options.interpreter_replay
 
     def run(self, pipeline, source, candidate, window) -> StageVerdict:
-        tests, observables = pipeline.replay_plan(source)
+        tests, observables = pipeline.replay_pool(source)
         if not tests:
             return StageVerdict(self.name, StageOutcome.ESCALATE,
                                 detail="empty counterexample pool")
-        probe = pipeline.replay_probe_size
-        if not 0 < probe < len(tests):
-            probe = 0
         try:
-            if probe:
-                # Doomed candidates usually fail the most-refuting tests:
-                # a short scalar probe catches them without touching the
-                # rest of the pool.
-                refuting = self._first_divergence(
-                    pipeline, candidate, tests[:probe], observables[:probe])
-                if refuting is not None:
-                    pipeline.stats.replay_probe_refutes += 1
-                    return self._reject(refuting)
-            # One vectorized batch over the remaining pool: the candidate
-            # is decoded once, reset images are shared, and the precomputed
-            # ``observable()`` tuples give the engine a first-divergence
-            # early exit — a short return pinpoints the refuting test.
-            refuting = self._first_divergence(
-                pipeline, candidate, tests[probe:], observables[probe:])
+            # The candidate is decoded once, reset images are shared, and
+            # the precomputed ``observable()`` tuples give the engine a
+            # first-divergence early exit — a short return pinpoints the
+            # refuting test.
+            got = pipeline.engine.run_batch(
+                candidate, tests, expected_observables=observables)
         except Exception as exc:  # broken candidate: let the solver tiers
             return StageVerdict(self.name, StageOutcome.ESCALATE,
                                 detail=f"replay failed: {exc}")
-        if refuting is not None:
-            pipeline.stats.replay_batch_refutes += 1
-            return self._reject(refuting)
-        return StageVerdict(self.name, StageOutcome.ESCALATE,
-                            detail=f"passed {len(tests)} pooled tests")
-
-    @staticmethod
-    def _first_divergence(pipeline, candidate, tests, observables):
-        """The first pooled test ``candidate`` diverges on, or None."""
-        got = pipeline.engine.run_batch(
-            candidate, tests, expected_observables=observables)
         last = len(got) - 1
         if got and got[last].observable() != observables[last]:
-            return tests[last]
-        return None
-
-    def _reject(self, refuting) -> StageVerdict:
-        result = EquivalenceResult(
-            equivalent=False, counterexample=refuting,
-            reason="refuted by pooled counterexample")
-        return StageVerdict(self.name, StageOutcome.REJECT, result)
+            result = EquivalenceResult(
+                equivalent=False, counterexample=tests[last],
+                reason="refuted by pooled counterexample")
+            return StageVerdict(self.name, StageOutcome.REJECT, result)
+        return StageVerdict(self.name, StageOutcome.ESCALATE,
+                            detail=f"passed {len(tests)} pooled tests")
 
 
 class CacheLookupStage(VerificationStage):

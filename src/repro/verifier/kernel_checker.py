@@ -23,9 +23,7 @@ semantics — the product domain of :mod:`repro.analysis` (provenance ×
 tnums × intervals) with its transfer, branch refinement and per-point
 checks — but remain distinct verdict procedures: the safety checker joins
 states at merge points (dataflow), the kernel checker enumerates paths,
-mirroring the paper's "distinct but overlapping checks" situation.  The
-``legacy`` mode keeps the original :mod:`repro.bpf.memtypes`-based walk for
-the ``--analysis`` ablation.
+mirroring the paper's "distinct but overlapping checks" situation.
 """
 
 from __future__ import annotations
@@ -33,15 +31,13 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Set, Tuple
 
-from ..analysis import AnalysisState, refine_branch, resolve_analysis_kind, transfer
+from ..analysis import AnalysisState, refine_branch, transfer
 from ..analysis.checks import (
     check_helper_args, check_memory_access, check_pointer_alu,
 )
 from ..bpf.cfg import CfgError, build_cfg
-from ..bpf.memtypes import AbstractState, _refine_branch, _transfer
 from ..bpf.opcodes import MAX_INSNS
 from ..bpf.program import BpfProgram
-from ..safety.safety_checker import SafetyChecker
 
 __all__ = ["KernelCheckerVerdict", "KernelChecker"]
 
@@ -64,14 +60,10 @@ class KernelChecker:
 
     def __init__(self, insn_limit: int = MAX_INSNS,
                  complexity_limit: int = 1_000_000,
-                 strict_alignment: bool = True,
-                 mode: Optional[str] = None):
+                 strict_alignment: bool = True):
         self.insn_limit = insn_limit
         self.complexity_limit = complexity_limit
         self.strict_alignment = strict_alignment
-        self.mode = resolve_analysis_kind(mode)
-        self._safety = SafetyChecker(strict_alignment=strict_alignment,
-                                     mode="legacy")
 
     # ------------------------------------------------------------------ #
     def load(self, program: BpfProgram) -> KernelCheckerVerdict:
@@ -96,14 +88,13 @@ class KernelChecker:
             if not all(instructions[i].is_nop for i in block.instruction_indices):
                 return KernelCheckerVerdict(False, "unreachable instructions")
 
-        if self.mode == "fused":
-            return self._do_check_fused(program)
-        return self._do_check_legacy(program)
+        return self._do_check(program)
 
     # ------------------------------------------------------------------ #
-    # Path-sensitive walk over the fused product domain (default).
+    # Path-sensitive walk over the fused product domain, mirroring the
+    # kernel's do_check() loop.
     # ------------------------------------------------------------------ #
-    def _do_check_fused(self, program: BpfProgram) -> KernelCheckerVerdict:
+    def _do_check(self, program: BpfProgram) -> KernelCheckerVerdict:
         instructions = program.instructions
         insns_processed = 0
         paths = 0
@@ -127,7 +118,7 @@ class KernelChecker:
                 insn = instructions[index]
                 insns_processed += 1
 
-                reason = self._check_one_fused(program, insn, state, index)
+                reason = self._check_one(program, insn, state, index)
                 if reason is not None:
                     return KernelCheckerVerdict(False, reason,
                                                 insns_processed, paths)
@@ -153,7 +144,7 @@ class KernelChecker:
 
         return KernelCheckerVerdict(True, "accepted", insns_processed, paths)
 
-    def _check_one_fused(self, program: BpfProgram, insn,
+    def _check_one(self, program: BpfProgram, insn,
                          state: AnalysisState, index: int) -> Optional[str]:
         """Per-instruction rules; returns a rejection reason or None."""
         if insn.is_nop:
@@ -180,91 +171,3 @@ class KernelChecker:
             if state.regs[0].is_pointer:
                 return f"R0 leaks addr as return value at insn {index}"
         return None
-
-    # ------------------------------------------------------------------ #
-    # Original memtypes-based walk (the --analysis legacy ablation).
-    # ------------------------------------------------------------------ #
-    def _do_check_legacy(self, program: BpfProgram) -> KernelCheckerVerdict:
-        instructions = program.instructions
-        # Path-sensitive walk, mirroring the kernel's do_check() loop.
-        insns_processed = 0
-        paths = 0
-        visited: Set[Tuple] = set()
-        stack: List[Tuple[int, AbstractState]] = [
-            (0, AbstractState.entry(program.hook))]
-
-        while stack:
-            index, state = stack.pop()
-            paths += 1
-            while True:
-                if insns_processed > self.complexity_limit:
-                    return KernelCheckerVerdict(
-                        False, "BPF program is too large; processed "
-                               f"{insns_processed} insns",
-                        insns_processed, paths)
-                if not 0 <= index < len(instructions):
-                    return KernelCheckerVerdict(
-                        False, f"jump out of range to {index}",
-                        insns_processed, paths)
-                insn = instructions[index]
-                insns_processed += 1
-
-                verdict = self._check_one(program, insn, state, index)
-                if verdict is not None:
-                    return KernelCheckerVerdict(False, verdict,
-                                                insns_processed, paths)
-
-                if insn.is_exit:
-                    break
-                if insn.is_unconditional_jump:
-                    index = index + 1 + insn.off
-                    continue
-                if insn.is_conditional_jump:
-                    taken = _refine_branch(state, insn, taken=True)
-                    fallthrough = _refine_branch(state, insn, taken=False)
-                    taken_index = index + 1 + insn.off
-                    signature = self._signature(taken_index, taken)
-                    if signature not in visited:
-                        visited.add(signature)
-                        stack.append((taken_index, taken))
-                    state = fallthrough
-                    index += 1
-                    continue
-                state = _transfer(state, insn, program.hook, index)
-                index += 1
-
-        return KernelCheckerVerdict(True, "accepted", insns_processed, paths)
-
-    # ------------------------------------------------------------------ #
-    def _check_one(self, program: BpfProgram, insn, state: AbstractState,
-                   index: int) -> Optional[str]:
-        """Per-instruction rules (legacy domain); returns a reason or None."""
-        if insn.is_nop:
-            return None
-        for reg in insn.regs_read():
-            if not state.regs[reg].initialized:
-                return f"R{reg} !read_ok at insn {index}"
-        if 10 in insn.regs_written():
-            return f"frame pointer is read only at insn {index}"
-        if insn.is_alu:
-            violations = self._safety._check_pointer_alu(insn, state, index)
-            if violations:
-                return violations[0].message
-        if insn.is_memory:
-            violations = self._safety._check_memory_access(program, insn,
-                                                           state, index)
-            if violations:
-                return violations[0].message
-        if insn.is_exit:
-            value = state.regs[0]
-            if value.is_pointer:
-                return f"R0 leaks addr as return value at insn {index}"
-        return None
-
-    @staticmethod
-    def _signature(index: int, state: AbstractState) -> Tuple:
-        regs = tuple((value.region.value, value.offset, value.const,
-                      value.maybe_null, value.initialized)
-                     for value in (state.regs[reg] for reg in range(11)))
-        return (index, regs, state.packet_bound,
-                frozenset(state.stack_written), tuple(sorted(state.stack)))

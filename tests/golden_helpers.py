@@ -2,10 +2,10 @@
 
 The golden corpus pins the analyzer verdict (safe/unsafe + violation
 kinds) for every :mod:`repro.corpus` benchmark and for a set of
-hand-written unsafe variants, one per violation class.  Both analysis
-implementations (``fused`` and ``legacy``) must reproduce the pinned
-verdicts exactly, so verdict drift — a transfer-function change that
-silently accepts more or fewer programs — fails loudly.
+hand-written unsafe variants, one per violation class.  The safety and
+kernel checkers must reproduce the pinned verdicts exactly, so verdict
+drift — a transfer-function change that silently accepts more or fewer
+programs — fails loudly.
 """
 
 from repro.bpf import BpfProgram, HookType, assemble, get_hook

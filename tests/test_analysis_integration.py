@@ -1,7 +1,7 @@
 """Integration tests: the fused analyzer threaded through the system.
 
-Covers the ``--analysis fused|legacy`` ablation knob end to end — chain
-construction, pipeline stage list, kernel-checker filter — and the
+Covers the analyzer wiring end to end — one analyzer shared by a chain's
+safety checker and its pipeline, the removed ``analysis`` knob — and the
 static-safety pre-stage semantics (reject-before-replay, no equivalence
 cache pollution).
 """
@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import AbstractAnalyzer
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.synthesis.mcmc import MarkovChain
-from repro.synthesis.search import SearchOptions, Synthesizer
+from repro.synthesis.search import SearchOptions
 from repro.verification import StaticSafetyStage, VerificationPipeline
 
 
@@ -26,30 +26,17 @@ UNSAFE = "ldxw r2, [r1+0]\nldxb r0, [r2+0]\nexit"
 
 class TestAnalysisKnob:
     def test_fused_chain_shares_one_analyzer(self):
-        chain = MarkovChain(_prog(SAFE), seed=1, analysis="fused")
-        assert chain.safety.mode == "fused"
+        chain = MarkovChain(_prog(SAFE), seed=1)
+        assert isinstance(chain.safety.analyzer, AbstractAnalyzer)
         assert chain.safety.analyzer is chain.pipeline.analyzer
         assert [s.name for s in chain.pipeline.stages][0] == "safety"
 
-    def test_legacy_chain_has_no_safety_stage(self):
-        chain = MarkovChain(_prog(SAFE), seed=1, analysis="legacy")
-        assert chain.safety.mode == "legacy"
-        assert chain.pipeline.analyzer is None
-        assert "safety" not in [s.name for s in chain.pipeline.stages]
-
-    def test_default_is_fused(self):
-        chain = MarkovChain(_prog(SAFE), seed=1)
-        assert chain.analysis == "fused"
-
     def test_unknown_analysis_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown analysis kind"):
-            MarkovChain(_prog(SAFE), seed=1, analysis="frobnicate")
-
-    def test_synthesizer_kernel_checker_follows_options(self):
-        assert Synthesizer(SearchOptions(analysis="fused")) \
-            .kernel_checker.mode == "fused"
-        assert Synthesizer(SearchOptions(analysis="legacy")) \
-            .kernel_checker.mode == "legacy"
+        """The fused analyzer is the only one: no knob selects another."""
+        with pytest.raises(TypeError):
+            MarkovChain(_prog(SAFE), seed=1, analysis="legacy")
+        with pytest.raises(TypeError):
+            SearchOptions(analysis="legacy")
 
 
 class TestStaticSafetyStage:
@@ -86,13 +73,14 @@ class TestStaticSafetyStage:
         verdicts = {v.stage: v for v in outcome.verdicts}
         assert verdicts["safety"].outcome.value == "escalate"
 
-    def test_stage_skipped_without_analyzer(self):
+    def test_standalone_pipeline_builds_its_own_analyzer(self):
         pipeline = VerificationPipeline()
-        assert "safety" not in [s.name for s in pipeline.stages]
+        assert isinstance(pipeline.analyzer, AbstractAnalyzer)
+        assert [s.name for s in pipeline.stages][0] == "safety"
 
     def test_stage_verdicts_are_memo_hits_for_chain(self):
         """The chain's safety check warms the memo the stage probes."""
-        chain = MarkovChain(_prog(SAFE), seed=2, analysis="fused")
+        chain = MarkovChain(_prog(SAFE), seed=2)
         analyzer = chain.pipeline.analyzer
         hits_before = analyzer.program_memo_hits
         candidate = chain.source.with_instructions(chain.source.instructions)

@@ -7,9 +7,10 @@ snapshots, fault strings, step counts and cost-model nanoseconds, in
 identical order, for every early-exit mode.  The suite pins the specific
 mechanisms: warp-style divergence masks and reconvergence, per-lane
 scalar retirement on faults, step-limit boundaries, SoA map-state
-isolation between lanes (array- and hash-backed), the adaptive replay
-plan's probe/batch split, and search-trajectory bit-identity with the
-batch engine on or off across all executor backends.
+isolation between lanes (array- and hash-backed), the replay stage's
+single in-order batch with its first-divergence early exit, and
+search-trajectory bit-identity with the batch engine on or off across all
+executor backends.
 """
 
 import pickle
@@ -251,15 +252,18 @@ class TestMapIsolation:
 
 
 # --------------------------------------------------------------------------- #
-# Early exits and the adaptive replay plan
+# Early exits and the replay stage's pooled batch
 # --------------------------------------------------------------------------- #
 class TestAdaptiveReplay:
+    """The replay stage's pooled batch on the lockstep tier."""
+
     def _divergent_pair(self):
         source = get_benchmark("xdp_exception").program()
         instructions = list(source.instructions)
-        # Flip the return value: diverges on every test.
+        # Flip the return value (XDP_PASS -> XDP_TX): diverges on every
+        # test while staying statically safe.
         candidate = source.with_instructions(
-            assemble("mov64 r0, 3\nexit") + instructions[2:])
+            instructions[:-2] + assemble("mov64 r0, 3\nexit"))
         return source, candidate
 
     def test_expected_observables_early_exit_matches_sequential(self):
@@ -275,47 +279,23 @@ class TestAdaptiveReplay:
         for a, b in zip(sequential, lockstep):
             assert output_fingerprint(a) == output_fingerprint(b)
 
-    def test_replay_plan_orders_by_refutation_frequency(self):
-        source = get_benchmark("xdp_exception").program()
-        pipeline = VerificationPipeline(engine=batch_engine())
-        tests = InputGenerator(source, seed=7).generate(6)
-        for test in tests:
-            pipeline.add_counterexample(test)
-        # Make the *last* pooled test the top refuter.
-        pipeline._refresh_pool(source)
-        for _ in range(3):
-            pipeline.record_refutation(tests[-1])
-        pipeline.record_refutation(tests[2])
-        planned, observables = pipeline.replay_plan(source)
-        assert planned[0].freeze_key() == tests[-1].freeze_key()
-        assert planned[1].freeze_key() == tests[2].freeze_key()
-        assert len(planned) == len(observables) == len(tests)
-        # Ties keep pool order behind the ranked tests.
-        remainder = [t.freeze_key() for t in planned[2:]]
-        assert remainder == [t.freeze_key() for t in tests[:2] + tests[3:-1]]
-        assert pipeline.stats.replay_reorders >= 1
-
-    def test_probe_catches_ranked_refuter_first(self):
+    def test_refutes_with_first_divergent_pooled_test(self):
         source, candidate = self._divergent_pair()
-        pipeline = VerificationPipeline(engine=batch_engine(),
-                                        replay_probe_size=2)
+        pipeline = VerificationPipeline(engine=batch_engine())
         tests = InputGenerator(source, seed=11).generate(8)
         for test in tests:
             pipeline.add_counterexample(test)
-        pipeline._refresh_pool(source)
-        pipeline.record_refutation(tests[5])
         outcome = pipeline.verify(source, candidate)
         assert not outcome
         assert outcome.concluded_by == "replay"
+        # One batch in insertion order: the candidate diverges on every
+        # test, so the first pooled test is the refuting one.
         assert outcome.result.counterexample.freeze_key() == \
-            tests[5].freeze_key()
-        assert pipeline.stats.replay_probe_refutes == 1
-        assert pipeline.stats.replay_batch_refutes == 0
+            tests[0].freeze_key()
 
     def test_surviving_candidate_replays_full_pool(self):
         source = get_benchmark("xdp_exception").program()
-        pipeline = VerificationPipeline(engine=batch_engine(),
-                                        replay_probe_size=2)
+        pipeline = VerificationPipeline(engine=batch_engine())
         for test in InputGenerator(source, seed=19).generate(6):
             pipeline.add_counterexample(test)
         # The source is equivalent to itself: replay must pass the whole
@@ -324,8 +304,6 @@ class TestAdaptiveReplay:
         assert bool(outcome)
         replay = next(v for v in outcome.verdicts if v.stage == "replay")
         assert "passed 6 pooled tests" in replay.detail
-        assert pipeline.stats.replay_probe_refutes == 0
-        assert pipeline.stats.replay_batch_refutes == 0
 
 
 # --------------------------------------------------------------------------- #

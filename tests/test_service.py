@@ -29,7 +29,8 @@ from repro.bpf.maps import MapEnvironment
 from repro.service import DaemonClient, DaemonUnavailable, JobSpec
 from repro.service.jobs import JobQueue
 from repro.store import VerdictStore
-from repro.synthesis import SearchInterrupted, SearchOptions, Synthesizer
+from repro.synthesis import (SearchInterrupted, SearchOptions, Synthesizer,
+                             options_signature)
 from test_parallel_search import REDUNDANT, search_signature
 
 
@@ -148,6 +149,29 @@ class TestSearchResume:
             resumed = Synthesizer(self._options(store)).optimize(source)
             assert resume_signature(resumed) == clean, \
                 f"resume from boundary {boundary} diverged"
+
+    def test_resume_under_another_engine_is_bit_identical(self, tmp_path):
+        """Engines are bit-identical by contract, so the checkpoint
+        signature ignores them: a fused-engine checkpoint resumes under
+        the batch engine instead of cold-starting."""
+        source = prog(REDUNDANT)
+        clean = Synthesizer(SearchOptions(**self.OPTIONS)).optimize(source)
+
+        store = str(tmp_path / "st.k2s")
+        with pytest.raises(SearchInterrupted):
+            Synthesizer(self._options(
+                store, engine="fused",
+                generation_hook=stop_after(1))).optimize(source)
+        settings = clean.settings_used
+        assert options_signature(
+            source, settings, self._options(store, engine="fused"), None,
+            False) == options_signature(
+            source, settings, self._options(store, engine="batch"), None,
+            False)
+
+        resumed = Synthesizer(self._options(
+            store, engine="batch")).optimize(source)
+        assert resume_signature(resumed) == resume_signature(clean)
 
     def test_mismatched_options_fall_back_to_cold_start(self, tmp_path):
         """A checkpoint from different options must not be resumed."""
@@ -404,6 +428,71 @@ class TestDaemonEndToEnd:
         assert job["state"] == "done"
         assert job["attempts"] == 2
         assert result_identity(job) == clean
+
+    def test_restart_over_previous_release_state(self, harness, tmp_path):
+        """A state directory written by the previous release — a ``ck``
+        record carrying ``refute_counts`` and the old options signature,
+        and a journaled spec carrying the removed ``analysis`` knob — is
+        replayed: the job cold-starts and finishes exactly like an
+        uninterrupted run."""
+        clean_harness = DaemonHarness(tmp_path / "clean").start()
+        try:
+            clean_id = clean_harness.client.submit(JobSpec(**SPEC))
+            clean = result_identity(
+                clean_harness.client.wait(clean_id, timeout=120))
+        finally:
+            clean_harness.stop()
+
+        state = harness.state_dir
+        os.makedirs(state)
+        queue = JobQueue(os.path.join(state, "jobs.jsonl"))
+        job = queue.submit(JobSpec(**SPEC))
+        job.state, job.attempts = "running", 1
+        queue.persist(job)
+
+        # A real first-generation checkpoint of this job (written to a
+        # scratch store, so the daemon's store holds nothing else)...
+        scratch = str(tmp_path / "scratch.k2s")
+        with pytest.raises(SearchInterrupted):
+            Synthesizer(job.spec.search_options(
+                scratch, job.id, generation_hook=stop_after(1))).optimize(
+                job.spec.build_program())
+        generation, payload = VerdictStore(scratch).checkpoint_for(job.id)
+        # ...rewritten into the previous release's layout: checkpoint
+        # version 2, ``engine``/``analysis`` in the signature, and the
+        # adaptive-replay refutation counts in every chain.
+        signature = payload["signature"]
+        payload["version"] = signature[0] = 2
+        payload["signature"] = signature[:9] + ["batch", "legacy"] \
+            + signature[9:]
+        for chain in payload["chains"]:
+            chain["refute_counts"] = [[{"t": [{"b": "00"}, 1]}, 3]]
+        store = VerdictStore(os.path.join(state, "store.k2s"))
+        store.record_checkpoint(job.id, generation, payload)
+        store.flush()
+
+        journal = os.path.join(state, "jobs.jsonl")
+        with open(journal, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        for record in records:
+            record["spec"]["analysis"] = "legacy"
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(record) + "\n"
+                              for record in records)
+
+        harness.start()
+        completed = [event.data["completed"]
+                     for event in harness.client.watch(job.id, timeout=120)
+                     if event.event == "generation"]
+        # A cold start: the stale checkpoint was not resumed from.
+        assert completed[0] == 1
+        finished = harness.client.result(job.id)
+        assert finished["state"] == "done" and finished["error"] is None
+        assert finished["attempts"] == 2
+        assert "analysis" not in finished["spec"]
+        assert result_identity(finished) == clean
+        assert VerdictStore(os.path.join(state, "store.k2s")) \
+            .checkpoint_for(job.id) is None
 
     def test_graceful_sigterm_requeues_then_resumes(self, harness):
         harness.start()

@@ -3,7 +3,8 @@
 Layered like the implementation:
 
 * protocol v1 — typed codec round-trips, forward compatibility (unknown
-  fields ignored), structured errors, and the v0 dict shim;
+  fields ignored), structured errors, and ``unsupported-proto`` errors for
+  requests of any other generation (v0 dicts included);
 * shard planning and the deterministic merge — a sharded search's merged
   result carries the unsharded run's ``search_signature``;
 * scheduler semantics — concurrent jobs bit-identical to serial ones,
@@ -104,24 +105,34 @@ def shard_signature(result):
 
 
 # --------------------------------------------------------------------- #
-# Protocol v1: typed codec, forward compat, v0 shim
+# Protocol v1: typed codec, forward compat, foreign generations refused
 # --------------------------------------------------------------------- #
+#: ``proto`` values a v1 daemon must refuse: missing (a v0 client), 0, a
+#: future generation, and non-integers.
+FOREIGN_PROTOS = (None, 0, 2, "1", 1.5, True)
+
+
+def _with_proto(request: dict, proto) -> dict:
+    return request if proto is None else dict(request, proto=proto)
+
+
 class TestProtocolV1:
     def test_request_round_trip_carries_proto(self):
         wire = protocol.WatchRequest(job="j0001", after=7, run="abc").to_wire()
         assert wire["proto"] == protocol.PROTO_VERSION
-        request, proto = protocol.decode_request(wire)
-        assert proto == protocol.PROTO_VERSION
+        request = protocol.decode_request(wire)
         assert isinstance(request, protocol.WatchRequest)
         assert (request.job, request.after, request.run) == ("j0001", 7, "abc")
 
-    def test_v0_requests_decode_with_proto_zero(self):
-        request, proto = protocol.decode_request({"op": "status",
-                                                  "job": "j0001"})
-        assert proto == 0 and isinstance(request, protocol.StatusRequest)
+    def test_v0_requests_rejected_as_unsupported_proto(self):
+        for proto in FOREIGN_PROTOS:
+            with pytest.raises(protocol.ProtocolError) as info:
+                protocol.decode_request(
+                    _with_proto({"op": "status", "job": "j0001"}, proto))
+            assert info.value.code == "unsupported-proto", proto
 
     def test_unknown_fields_are_ignored_not_fatal(self):
-        request, _ = protocol.decode_request(
+        request = protocol.decode_request(
             {"op": "ping", "proto": 1, "from_the_future": True})
         assert isinstance(request, protocol.PingRequest)
         response = protocol.decode_response(
@@ -135,17 +146,19 @@ class TestProtocolV1:
         assert info.value.code == "unknown-op"
 
     def test_error_shape_per_generation(self):
+        """Errors have one shape, v1's; a bare-string error is refused."""
         error = protocol.ErrorResponse(code="unknown-job",
                                        message="unknown job")
-        v1 = error.to_wire(proto=1)
-        assert v1["error"] == {"code": "unknown-job", "message": "unknown job"}
-        v0 = error.to_wire(proto=0)
-        assert v0["error"] == "unknown job" and "proto" not in v0
-        # Both shapes decode back to the same structured error.
-        for wire in (v1, v0):
-            decoded = protocol.decode_response(wire)
-            assert isinstance(decoded, protocol.ErrorResponse)
-            assert decoded.message == "unknown job"
+        wire = error.to_wire()
+        assert wire == {"ok": False, "proto": protocol.PROTO_VERSION,
+                        "error": {"code": "unknown-job",
+                                  "message": "unknown job"}}
+        decoded = protocol.decode_response(wire)
+        assert isinstance(decoded, protocol.ErrorResponse)
+        assert (decoded.code, decoded.message) == ("unknown-job",
+                                                   "unknown job")
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_response({"ok": False, "error": "unknown job"})
 
     def test_line_reader_splits_coalesced_event_lines(self):
         left, right = __import__("socket").socketpair()
@@ -158,28 +171,38 @@ class TestProtocolV1:
             assert reader.read_message() is None
 
     def test_v0_client_against_v1_daemon(self, tmp_path):
-        """A pre-versioning client's raw dicts keep working end-to-end."""
-        with daemon(tmp_path / "state") as (_, client):
-            pong = client.request({"op": "ping"})
-            assert pong["ok"] and "proto" not in pong
-            submitted = client.request(
-                {"op": "submit", "spec": dict(SPEC, iterations=40,
-                                              settings=1)})
-            assert submitted["ok"] and "proto" not in submitted
-            job_id = submitted["job"]
-            status = client.request({"op": "status", "job": job_id})
-            assert status["ok"] and status["job"]["id"] == job_id
-            # v0 errors are bare strings; v1 errors are structured.
-            bad_v0 = client.request({"op": "frobnicate"})
-            assert bad_v0["ok"] is False
-            assert isinstance(bad_v0["error"], str)
+        """Requests of any other generation get a structured v1 error and
+        are never executed."""
+        with daemon(tmp_path / "state") as (instance, client):
+            for proto in FOREIGN_PROTOS:
+                for request in ({"op": "ping"},
+                                {"op": "submit",
+                                 "spec": dict(SPEC, iterations=40,
+                                              settings=1)}):
+                    reply = client.request(_with_proto(request, proto))
+                    assert reply["ok"] is False, (proto, request)
+                    assert reply["proto"] == protocol.PROTO_VERSION
+                    assert reply["error"]["code"] == "unsupported-proto"
+            assert instance.queue.jobs() == []
             bad_v1 = client.request({"op": "frobnicate", "proto": 1})
             assert bad_v1["ok"] is False
             assert bad_v1["error"]["code"] == "unknown-op"
             # The daemon's own ping answer advertises its generation.
             versioned = client.ping()
+            assert versioned["proto"] == protocol.PROTO_VERSION
             assert versioned["proto_version"] == protocol.PROTO_VERSION
             assert "watch" in versioned["capabilities"]
+
+    def test_unparseable_lines_get_v1_errors(self, tmp_path):
+        with daemon(tmp_path / "state") as _:
+            for line in (b"not json\n", b"[1, 2]\n"):
+                sock = protocol.connect(str(tmp_path / "state"))
+                with sock:
+                    sock.sendall(line)
+                    reply = protocol.recv_message(sock)
+                assert reply["ok"] is False, line
+                assert reply["proto"] == protocol.PROTO_VERSION
+                assert set(reply["error"]) == {"code", "message"}
 
 
 # --------------------------------------------------------------------- #

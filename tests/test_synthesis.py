@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
 from repro.bpf.transforms import remove_nops
-from repro.core import K2Compiler, OptimizationGoal
+from repro.api import K2Config
 from repro.interpreter import Interpreter, ProgramOutput
 from repro.synthesis import (
     CostSettings, DiffKind, MarkovChain, NumTestsVariant, OperandPools,
@@ -212,8 +212,7 @@ class TestMarkovChain:
 class TestK2Compiler:
     def test_compiler_end_to_end_on_small_program(self):
         source = prog(REDUNDANT)
-        compiler = K2Compiler(iterations_per_chain=400,
-                              num_parameter_settings=1, seed=2)
+        compiler = K2Config(iterations=400, settings=1, seed=2).compiler()
         result = compiler.optimize(source)
         assert result.kernel_checker_verdict.accepted
         assert result.optimized.num_real_instructions <= \
@@ -223,22 +222,20 @@ class TestK2Compiler:
 
     def test_compiler_never_degrades(self):
         source = prog("mov64 r0, 2\nexit")
-        compiler = K2Compiler(iterations_per_chain=50,
-                              num_parameter_settings=1, seed=0)
+        compiler = K2Config(iterations=50, settings=1, seed=0).compiler()
         result = compiler.optimize(source)
         assert result.optimized.num_real_instructions <= 2
         assert result.compression_percent >= 0.0
 
     def test_latency_goal(self):
         source = prog(REDUNDANT)
-        compiler = K2Compiler(goal=OptimizationGoal.LATENCY,
-                              iterations_per_chain=200,
-                              num_parameter_settings=1, seed=4)
+        compiler = K2Config(goal="latency", iterations=200, settings=1,
+                            seed=4).compiler()
         result = compiler.optimize(source)
         assert result.estimated_latency_gain >= 0.0
 
     def test_summary_mentions_instruction_counts(self):
         source = prog("mov64 r0, 2\nexit")
-        result = K2Compiler(iterations_per_chain=20,
-                            num_parameter_settings=1).optimize(source)
+        result = K2Config(iterations=20, settings=1).compiler() \
+            .optimize(source)
         assert "instructions" in result.summary()

@@ -44,10 +44,10 @@ class TestStageEscalation:
         assert outcome.result.equivalent
         assert outcome.concluded_by == "window"
         names = [v.stage for v in outcome.verdicts]
-        assert names == ["replay", "cache", "window"]
-        assert outcome.verdicts[0].outcome == StageOutcome.ESCALATE
-        assert outcome.verdicts[1].outcome == StageOutcome.ESCALATE
-        assert outcome.verdicts[2].outcome == StageOutcome.ACCEPT
+        assert names == ["safety", "replay", "cache", "window"]
+        assert [v.outcome for v in outcome.verdicts] == [
+            StageOutcome.ESCALATE, StageOutcome.ESCALATE,
+            StageOutcome.ESCALATE, StageOutcome.ACCEPT]
 
     def test_cache_stage_concludes_second_query(self):
         source = prog(REDUNDANT)

@@ -16,7 +16,7 @@ from repro.bpf import BpfProgram, HookType, assemble, get_hook
 from repro.bpf.instruction import NOP
 from repro.bpf.liveness import compute_liveness
 from repro.bpf.maps import MapDef, MapEnvironment, MapType
-from repro.core import K2Compiler
+from repro.api import K2Config
 from repro.corpus import get_benchmark
 from repro.corpus.programs import LONG_BENCHMARKS
 from repro.equivalence import EquivalenceChecker
@@ -313,8 +313,8 @@ class TestWindowedCli:
                   "--window-size", "4", "--window-overlap", "4"])
 
     def test_compiler_kwargs_thread_through(self):
-        compiler = K2Compiler(windowed=True, window_size=12, window_overlap=3,
-                              iterations_per_chain=10)
+        compiler = K2Config(windowed=True, window_size=12, window_overlap=3,
+                            iterations=10).compiler()
         assert compiler.options.window_mode is True
         assert compiler.options.window_size == 12
         assert compiler.options.window_overlap == 3
