@@ -26,6 +26,11 @@ under four configurations:
   loses to) fresh solving — so ``fresh / portfolio`` gets a *per-program*
   floor (``MIN_PORTFOLIO_SPEEDUP``), not just an aggregate one.
 
+Each configuration is timed as the median of ``REPEATS`` independent runs
+(each with its own pipeline and cache): a smoke workload takes a few ms, so
+one run is at the mercy of scheduler noise.  Verdicts are deterministic and
+must agree across the repeats.
+
 (Optimizations I and II — per-region and per-map tables — are structural in
 this reproduction's encoding and cannot be disabled without changing its
 soundness; see EXPERIMENTS.md.)
@@ -37,6 +42,7 @@ the printed rows (the ``BENCH_*.json`` perf trajectory).
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -62,6 +68,8 @@ MIN_SPEEDUP = 1.3
 #: portfolio must beat fresh solving on *every* row, including the ones
 #: where the plain incremental session regresses (e.g. ``sys_enter_open``).
 MIN_PORTFOLIO_SPEEDUP = 1.2
+#: Runs per configuration; the median is reported.
+REPEATS = 5
 
 
 def _workload(source):
@@ -109,6 +117,18 @@ def _run_fresh(source, work, options):
     return (time.perf_counter() - started) * 1e6, verdicts
 
 
+def _median_run(run, source, work, options):
+    """Median microseconds of ``REPEATS`` runs, plus their verdicts."""
+    times, verdicts = [], None
+    for _ in range(REPEATS):
+        elapsed, outcome = run(source, work, options)
+        assert verdicts is None or outcome == verdicts, \
+            "verdicts must not change between repeats"
+        times.append(elapsed)
+        verdicts = outcome
+    return statistics.median(times), verdicts
+
+
 def _run_all():
     rows = []
     summary = []
@@ -119,19 +139,21 @@ def _run_all():
         source = get_benchmark(name).program()
         work = _workload(source)
 
-        all_opts, verdicts = _run_incremental(source, work,
-                                              EquivalenceOptions())
-        fresh, fresh_verdicts = _run_fresh(source, work, EquivalenceOptions())
+        all_opts, verdicts = _median_run(_run_incremental, source, work,
+                                         EquivalenceOptions())
+        fresh, fresh_verdicts = _median_run(_run_fresh, source, work,
+                                            EquivalenceOptions())
         assert verdicts == fresh_verdicts, \
             "incremental and fresh solving must agree on every verdict"
-        portfolio, portfolio_verdicts = _run_incremental(
-            source, work, EquivalenceOptions(portfolio=True))
+        portfolio, portfolio_verdicts = _median_run(
+            _run_incremental, source, work, EquivalenceOptions(portfolio=True))
         assert verdicts == portfolio_verdicts, \
             "the portfolio front end must agree on every verdict"
-        no_modular, _ = _run_incremental(
-            source, work, EquivalenceOptions.from_stages("replay,cache,full"))
-        no_offsets, _ = _run_incremental(
-            source, work, EquivalenceOptions.from_stages(
+        no_modular, _ = _median_run(
+            _run_incremental, source, work,
+            EquivalenceOptions.from_stages("replay,cache,full"))
+        no_offsets, _ = _median_run(
+            _run_incremental, source, work, EquivalenceOptions.from_stages(
                 "replay,cache,full", memory_offset_concretization=False))
 
         total_incremental += all_opts

@@ -24,10 +24,12 @@ Two entry points exist:
   clause database alone, never from the assumptions, so reusing them across
   queries with different assumptions is sound.
 
-The implementation favours clarity over raw speed; the word-level
-simplifications and the domain-specific concretizations in
-:mod:`repro.equivalence` keep the CNF instances small enough that this is
-sufficient for the programs in the benchmark corpus.
+This pure-Python core is the reference implementation.  The solver
+facade normally runs :class:`repro.smt.native.NativeSatSolver`, a
+line-for-line C port with bit-identical models and counters; this module
+is its differential oracle and the fallback when no C compiler is
+available, so any change to the algorithm here must be mirrored in
+``cdcl.c``.
 """
 
 from __future__ import annotations
@@ -169,6 +171,11 @@ class IncrementalSatSolver:
     def add_clauses(self, clauses) -> None:
         for clause in clauses:
             self.add_clause(clause)
+
+    @property
+    def num_clauses(self) -> int:
+        """Size of the clause database (original + learned, no units)."""
+        return len(self.clauses) + len(self.learned)
 
     # ------------------------------------------------------------------ #
     # Clause management

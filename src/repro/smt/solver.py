@@ -18,11 +18,12 @@ The solver applies three layers before touching the SAT core:
 Unlike the original one-shot design, the facade is **incremental**:
 
 * One :class:`~repro.smt.bitblast.BitBlaster` and one
-  :class:`~repro.smt.sat.IncrementalSatSolver` live for the lifetime of the
-  ``Solver``.  Because expressions are hash-consed, the blaster's structural
-  cache makes every shared subexpression — across the two programs of one
-  equivalence query *and* across successive queries — blast to CNF exactly
-  once.
+  :class:`~repro.smt.sat.IncrementalSatSolver` (the native C port,
+  :class:`~repro.smt.native.NativeSatSolver`, when it builds) live for the
+  lifetime of the ``Solver``.  Because expressions are hash-consed, the
+  blaster's structural cache makes every shared subexpression — across the
+  two programs of one equivalence query *and* across successive queries —
+  blast to CNF exactly once.
 * :meth:`push`/:meth:`pop` create *scopes* guarded by fresh **assumption
   literals**: an assertion made inside a scope becomes the guarded clause
   ``¬act ∨ assertion`` and :meth:`check` solves under the assumption
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
+from . import native
 from .bitblast import BitBlaster
 from .bitvec import Expr, FALSE, TRUE
 from .sat import IncrementalSatSolver
@@ -129,7 +131,11 @@ class Solver:
         self._reset_core()
 
     def _reset_core(self) -> None:
-        self._sat = IncrementalSatSolver(max_conflicts=self._max_conflicts)
+        # The one place the SAT core is chosen: the native port when it
+        # builds, else the pure-Python reference (same results either way).
+        core = native.NativeSatSolver if native.available() \
+            else IncrementalSatSolver
+        self._sat = core(max_conflicts=self._max_conflicts)
         self._blaster = BitBlaster(self._sat)
         self._base: List[Expr] = []
         self._base_blasted = 0
@@ -196,7 +202,7 @@ class Solver:
     @property
     def num_clauses(self) -> int:
         """Size of the live clause database (original + learned)."""
-        return len(self._sat.clauses) + len(self._sat.learned)
+        return self._sat.num_clauses
 
     # ------------------------------------------------------------------ #
     def check(self, assumptions: Sequence[Expr] = ()) -> CheckResult:
@@ -240,7 +246,7 @@ class Solver:
     # ------------------------------------------------------------------ #
     def _blast_pending(self, assumptions: Sequence[Expr]) -> List[int]:
         """Blast new assertions into the live CNF; return assumption lits."""
-        clauses_before = self._sat_clause_total()
+        clauses_before = self._sat.num_clauses
         vars_before = self._sat.num_vars
 
         while self._base_blasted < len(self._base):
@@ -264,15 +270,12 @@ class Solver:
                 continue
             assumption_lits.append(self._blaster.blast_bool(expr))
 
-        self.stats.num_clauses += self._sat_clause_total() - clauses_before
+        self.stats.num_clauses += self._sat.num_clauses - clauses_before
         self.stats.num_variables += self._sat.num_vars - vars_before
         return assumption_lits
 
-    def _sat_clause_total(self) -> int:
-        return len(self._sat.clauses) + len(self._sat.learned)
-
     def _extract_model(self, active: List[Expr],
-                       sat_model: Dict[int, bool]) -> Model:
+                       sat_model: Mapping[int, bool]) -> Model:
         values: Dict[str, int] = {}
         for expr in active:
             for variable in collect_vars(expr):
