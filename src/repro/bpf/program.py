@@ -69,8 +69,16 @@ class BpfProgram:
 
     @property
     def num_real_instructions(self) -> int:
-        """Instruction count excluding NOPs (the paper's size metric)."""
-        return sum(1 for insn in self.instructions if not insn.is_nop)
+        """Instruction count excluding NOPs (the paper's size metric).
+
+        Cached on the instance, like :meth:`content_key`: the search's
+        performance cost reads it for every proposal and for the source.
+        """
+        count = self.__dict__.get("_num_real_instructions")
+        if count is None:
+            count = sum(1 for insn in self.instructions if not insn.is_nop)
+            self.__dict__["_num_real_instructions"] = count
+        return count
 
     # ------------------------------------------------------------------ #
     # Structural validation

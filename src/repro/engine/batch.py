@@ -1586,8 +1586,7 @@ class BatchedEngine(FusedEngine):
     to lockstep execution for batches of at least ``batch_min_lanes`` tests
     (and silently stays on the fused path for small batches, programs the
     CFG builder rejects, or hosts without numpy).  Outputs — including the
-    truncated prefixes produced by the ``stop_on_first_fault`` /
-    ``expected`` / ``expected_observables`` early exits — are bit-identical
+    truncated prefix produced by the ``until`` early exit — are bit-identical
     to sequential execution: lanes the vector tier cannot finish exactly
     are re-run through the scalar path one by one.
     """
@@ -1622,29 +1621,20 @@ class BatchedEngine(FusedEngine):
 
     # ------------------------------------------------------------------ #
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  until: Optional[Callable[[int, ProgramOutput], bool]] = None,
                   ) -> List[ProgramOutput]:
         if _np is None or len(tests) < self.batch_min_lanes:
-            return super().run_batch(
-                program, tests, stop_on_first_fault=stop_on_first_fault,
-                expected=expected,
-                expected_observables=expected_observables)
+            return super().run_batch(program, tests, until=until)
         compiled = self._lockstep_decode(program)
         if compiled is None:  # CfgError: the fused tier handles it whole
-            return super().run_batch(
-                program, tests, stop_on_first_fault=stop_on_first_fault,
-                expected=expected,
-                expected_observables=expected_observables)
+            return super().run_batch(program, tests, until=until)
         suite = self._suite_for(program, tests)
         suite.rewind()
         self.lockstep_batches += 1
         self.lockstep_lanes += suite.lanes
         with _np.errstate(all="ignore"):
             self._run_lockstep(compiled, suite)
-        return self._assemble(program, tests, suite, stop_on_first_fault,
-                              expected, expected_observables)
+        return self._assemble(program, tests, suite, until)
 
     # ------------------------------------------------------------------ #
     # Lockstep compilation (separate caches from the fused tier)
@@ -1767,8 +1757,7 @@ class BatchedEngine(FusedEngine):
     # ------------------------------------------------------------------ #
     # Output assembly: sequential truncation contracts, scalar retirement
     # ------------------------------------------------------------------ #
-    def _assemble(self, program, tests, suite, stop_on_first_fault,
-                  expected, expected_observables) -> List[ProgramOutput]:
+    def _assemble(self, program, tests, suite, until) -> List[ProgramOutput]:
         outputs: List[ProgramOutput] = []
         with_costs = self.opcode_cost_fn is not None
         suite.finish()
@@ -1785,13 +1774,7 @@ class BatchedEngine(FusedEngine):
                 self.runs += 1
                 output = suite.lane_output(index, with_costs)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if until is not None and until(index, output):
                 break
         return outputs
 

@@ -116,26 +116,17 @@ class ExecutionEngine:
         return self._execute(decoded, machine)
 
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  until: Optional[Callable[[int, ProgramOutput], bool]] = None,
                   ) -> List[ProgramOutput]:
         """Execute ``program`` on every test, decoding once.
 
-        With ``stop_on_first_fault`` the batch ends after the first faulting
-        output (which is included in the returned list) — callers that only
-        need to know *whether* a candidate misbehaves can skip the rest.
-
-        With ``expected`` (reference outputs aligned with ``tests``) the
-        batch ends after the first output whose ``observable()`` diverges
-        from the reference — the replay stage's first-divergence early
-        exit.  The divergent output is included, so a returned list shorter
-        than ``tests`` pinpoints the refuting index at ``len(result) - 1``.
-
-        ``expected_observables`` is the same early exit against
-        *precomputed* ``ProgramOutput.observable()`` tuples — the replay
-        stage derives them once per counterexample-pool refresh instead of
-        once per candidate.
+        ``until(index, output)`` is the one early exit: the batch ends after
+        the first output for which it is true, and that output is included,
+        so a returned list shorter than ``tests`` ends at the deciding
+        index.  The replay stage passes a first-divergence predicate against
+        precomputed ``observable()`` tuples; the search loop passes a
+        predicate that stops once the test prefix already decides the
+        Metropolis-Hastings rejection.
         """
         decoded = self.decode(program)
         machine = self._machine_for(program)
@@ -144,13 +135,7 @@ class ExecutionEngine:
             machine.reset(test)
             output = self._execute(decoded, machine)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if until is not None and until(index, output):
                 break
         return outputs
 
@@ -272,9 +257,7 @@ class FusedEngine(ExecutionEngine):
         return state
 
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  until: Optional[Callable[[int, ProgramOutput], bool]] = None,
                   ) -> List[ProgramOutput]:
         decoded = self.decode(program)
         machine = self._machine_for(program)
@@ -284,13 +267,7 @@ class FusedEngine(ExecutionEngine):
             machine.reset_from_image(image)
             output = self._execute(decoded, machine)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if until is not None and until(index, output):
                 break
         return outputs
 

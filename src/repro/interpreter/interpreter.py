@@ -98,31 +98,20 @@ class Interpreter:
         return output
 
     def run_batch(self, program: BpfProgram, tests: Sequence[ProgramInput],
-                  stop_on_first_fault: bool = False,
-                  expected: Optional[Sequence[ProgramOutput]] = None,
-                  expected_observables: Optional[Sequence[tuple]] = None,
+                  until: Optional[Callable[[int, ProgramOutput], bool]] = None,
                   ) -> List[ProgramOutput]:
         """Execute ``program`` on every test, in order.
 
         Mirrors :meth:`repro.engine.ExecutionEngine.run_batch` so the legacy
-        interpreter can stand in for the decoded engine in ablations.  With
-        ``stop_on_first_fault`` the batch ends after the first faulting
-        output (which is included in the returned list); with ``expected``
-        it ends after the first output whose ``observable()`` diverges from
-        the aligned reference output (``expected_observables`` is the same
-        exit against precomputed ``observable()`` tuples).
+        interpreter can stand in for the decoded engine in ablations: the
+        batch ends after the first output for which ``until(index, output)``
+        is true (that output is included in the returned list).
         """
         outputs: List[ProgramOutput] = []
         for index, test in enumerate(tests):
             output = self.run(program, test)
             outputs.append(output)
-            if stop_on_first_fault and output.fault is not None:
-                break
-            if expected is not None and \
-                    output.observable() != expected[index].observable():
-                break
-            if expected_observables is not None and \
-                    output.observable() != expected_observables[index]:
+            if until is not None and until(index, output):
                 break
         return outputs
 

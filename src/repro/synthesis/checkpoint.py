@@ -200,12 +200,8 @@ def apply_chain_state(chain: MarkovChain, decoded: dict) -> None:
         found_at_seconds=entry["found_at_seconds"],
     ) for entry in decoded["verified"]]
     chain.discovered_counterexamples = list(decoded["discovered"])
-    suite = chain.tests
-    del suite.tests[suite.num_initial:]
-    suite._seen = {test.freeze_key() for test in suite.tests}
-    suite._source_outputs = None
-    for test in decoded["suite_extras"]:
-        suite.add_counterexample(test)
+    chain.tests.replace_counterexamples(decoded["suite_extras"])
+    chain.clear_scores()
     chain.pipeline.stats.load_dict(decoded["pipeline_stats"])
     chain.pipeline.restore_replay_pool(decoded["replay_pool"])
     chain.pipeline.cache = EquivalenceCache.restore_state(decoded["cache"])

@@ -27,7 +27,8 @@ from ..interpreter import ProgramOutput
 from ..perf.latency_model import OpcodeLatencyModel, DEFAULT_LATENCY_MODEL
 
 __all__ = ["DiffKind", "NumTestsVariant", "PerformanceGoal", "CostSettings",
-           "ERR_MAX", "output_distance", "error_cost", "performance_cost",
+           "ERR_MAX", "BOUND_SLACK", "output_distance", "error_cost",
+           "error_from_distances", "error_lower_bound", "performance_cost",
            "total_cost"]
 
 #: Penalty assigned to unsafe candidates (paper: "a large value ERR_MAX").
@@ -35,6 +36,11 @@ ERR_MAX = 100_000.0
 
 #: Penalty contributed by a test case on which the candidate faulted.
 _FAULT_PENALTY = 256.0
+
+#: Relative slack of :func:`error_lower_bound` (and of the search's
+#: early-reject test built on it): far above float rounding, far below any
+#: cost difference that matters.
+BOUND_SLACK = 2.0 ** -30
 
 
 class DiffKind(enum.Enum):
@@ -92,11 +98,12 @@ def output_distance(source: ProgramOutput, candidate: ProgramOutput,
     distance = diff(source.return_value or 0, candidate.return_value or 0)
 
     # Packet contents: byte-wise distance plus a length mismatch penalty.
-    if len(source.packet) != len(candidate.packet):
-        distance += 8.0 * abs(len(source.packet) - len(candidate.packet))
-    for a, b in zip(source.packet, candidate.packet):
-        if a != b:
-            distance += diff(a, b)
+    if source.packet != candidate.packet:
+        if len(source.packet) != len(candidate.packet):
+            distance += 8.0 * abs(len(source.packet) - len(candidate.packet))
+        for a, b in zip(source.packet, candidate.packet):
+            if a != b:
+                distance += diff(a, b)
 
     # Map contents: keys present in one but not the other, then value bytes.
     for fd in set(source.maps) | set(candidate.maps):
@@ -121,8 +128,21 @@ def error_cost(source_outputs: Sequence[ProgramOutput],
     """The error component err(p) of the cost function (equation (1))."""
     if not source_outputs:
         return float(unequal)
-    per_test = [output_distance(s, c, settings.diff_kind)
-                for s, c in zip(source_outputs, candidate_outputs)]
+    return error_from_distances(
+        [output_distance(s, c, settings.diff_kind)
+         for s, c in zip(source_outputs, candidate_outputs)],
+        settings, unequal)
+
+
+def error_from_distances(per_test: Sequence[float], settings: CostSettings,
+                         unequal: int = 0) -> float:
+    """err(p) from the per-test :func:`output_distance` values, in order.
+
+    The one place the error arithmetic lives: :func:`error_cost` and the
+    search's memoized scoring both end here, so they produce the same float.
+    """
+    if not per_test:
+        return float(unequal)
     weight = 1.0 / len(per_test) if settings.normalize_by_tests else 1.0
     total = weight * sum(per_test)
 
@@ -132,6 +152,24 @@ def error_cost(source_outputs: Sequence[ProgramOutput],
     else:
         num_tests = len(per_test) - num_wrong
     return total + unequal * num_tests
+
+
+def error_lower_bound(prefix_sum: float, wrong: int, seen: int,
+                      num_tests: int, settings: CostSettings) -> float:
+    """A lower bound on err(p), with ``unequal`` = 1, from a test prefix.
+
+    ``prefix_sum`` sums the first ``seen`` of the ``num_tests`` per-test
+    distances and ``wrong`` counts the non-zero ones among them.  Distances
+    are non-negative and both num-tests variants (wrong or correct tests)
+    only grow with the prefix, so ``weight * prefix_sum + n`` cannot exceed
+    the full error; deflating it by a relative :data:`BOUND_SLACK` keeps it
+    below :func:`error_from_distances`'s float under any summation order
+    (no cancellation: every term is non-negative).
+    """
+    weight = 1.0 / num_tests if settings.normalize_by_tests else 1.0
+    n = wrong if settings.num_tests_variant == NumTestsVariant.INCORRECT \
+        else seen - wrong
+    return (weight * prefix_sum + n) * (1.0 - BOUND_SLACK)
 
 
 def performance_cost(source: BpfProgram, candidate: BpfProgram,

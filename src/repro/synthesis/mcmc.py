@@ -16,7 +16,8 @@ import dataclasses
 import math
 import random
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis import AbstractAnalyzer
 from ..bpf.program import BpfProgram
@@ -26,12 +27,30 @@ from ..perf.latency_model import DEFAULT_LATENCY_MODEL, OpcodeLatencyModel
 from ..safety import SafetyChecker
 from ..verification import VerificationPipeline
 from .cost import (
-    CostSettings, ERR_MAX, error_cost, performance_cost, total_cost,
+    BOUND_SLACK, CostSettings, ERR_MAX, error_from_distances,
+    error_lower_bound, output_distance, performance_cost, total_cost,
 )
+# Still a module attribute here: the whole-run benchmark's tracer patches
+# ``mcmc.error_cost`` by name.
+from .cost import error_cost  # noqa: F401
 from .proposals import ProposalGenerator, RewriteRuleProbabilities
 from .testcases import TestSuite
 
-__all__ = ["ChainStatistics", "VerifiedCandidate", "ChainResult", "MarkovChain"]
+__all__ = ["ChainStatistics", "VerifiedCandidate", "ChainResult", "MarkovChain",
+           "SCORE_MEMO_SIZE"]
+
+#: Programs whose per-test scores one chain memoizes (LRU).  Measured with
+#: ``tracemalloc``, an entry costs about 0.6 KB of per-test lists on a
+#: 30-test suite plus about 0.1 KB per instruction of content key (2.3 KB
+#: on the 15-instruction xdp_pktcntr, 7.8 KB on the 71-instruction
+#: xdp-balancer), so a full memo stays under about 4 MB per chain.  Repeats
+#: cluster around the current program: on the small corpus programs a
+#: 256-entry LRU already catches every repeat a 4096-entry one does.
+SCORE_MEMO_SIZE = 512
+
+#: One memo entry: per-test ``output_distance`` values and per-test
+#: observable equality, for a prefix of the suite.
+_Scores = Tuple[List[float], List[bool]]
 
 
 @dataclasses.dataclass
@@ -163,9 +182,27 @@ class MarkovChain:
         #: Counterexamples this chain discovered itself (drained by the
         #: parallel controller to share with sibling chains).
         self.discovered_counterexamples: List = []
+        #: Per-test scores by program content key (LRU, SCORE_MEMO_SIZE):
+        #: the suite only appends, so a cached prefix stays valid and
+        #: scoring resumes where it stops.  Scratch like the engine caches —
+        #: not checkpointed, dropped when the chain is pickled.
+        self._scores: "OrderedDict[tuple, _Scores]" = OrderedDict()
 
         self._current = list(source.instructions)
         self._current_cost = self._evaluate(self.source)[0]
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_scores"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._scores = OrderedDict()
+
+    def clear_scores(self) -> None:
+        """Forget every memoized score (the suite was replaced wholesale)."""
+        self._scores.clear()
 
     # ------------------------------------------------------------------ #
     # Deprecated accessors, delegating to the pipeline (single options
@@ -241,28 +278,44 @@ class MarkovChain:
         self.stats.iterations += 1
         proposal_insns = self.proposer.propose(self._current)
         candidate = self.source.with_instructions(proposal_insns)
-        candidate_cost, _ = self._evaluate(
-            candidate, started=started)
+        # Drawn before scoring — which never touches ``self.rng``, so the
+        # stream is the same as drawing after it — so that scoring can stop
+        # at the test that already decides a rejection.
+        u = self.rng.random()
+        candidate_cost, _ = self._evaluate(candidate, started=started, u=u)
+        if candidate_cost is None:
+            return
 
         accept_probability = 1.0 if candidate_cost <= self._current_cost else \
             math.exp(-self.beta_anneal * (candidate_cost - self._current_cost))
-        if self.rng.random() < accept_probability:
+        if u < accept_probability:
             self._current = proposal_insns
             self._current_cost = candidate_cost
             self.stats.proposals_accepted += 1
 
     # ------------------------------------------------------------------ #
     def _evaluate(self, candidate: BpfProgram,
-                  started: Optional[float] = None):
-        """Compute the total cost of a candidate (Fig. 1 pipeline)."""
+                  started: Optional[float] = None,
+                  u: Optional[float] = None):
+        """Compute the total cost of a candidate (Fig. 1 pipeline).
+
+        Returns ``(cost, unequal)``.  Given the step's acceptance draw ``u``,
+        a candidate whose failing test prefix already forces rejection
+        returns ``(None, 1)`` without running the rest of the suite; the
+        full-scoring path would have run no safety check, no verification
+        and no feedback for it either (see :meth:`_prefix_rejects`).
+        """
         settings = self.settings
+        perf = performance_cost(self.source, candidate, settings,
+                                self.latency_model)
 
         # Test-case execution (cheap pruning before any static analysis).
-        candidate_outputs = self.tests.run_candidate(candidate)
-        source_outputs = self.tests.source_outputs
-        tests_pass = all(
-            s.observable() == c.observable()
-            for s, c in zip(source_outputs, candidate_outputs))
+        count = len(self.tests)
+        distances, equal = self._score(candidate, perf, u)
+        if len(distances) < count:
+            self.stats.test_failures += 1
+            return None, 1
+        tests_pass = all(equal)
 
         # Safety checking (§6).  With ``lazy_safety`` the full static analysis
         # only runs for candidates that survive the test suite: candidates
@@ -295,18 +348,94 @@ class MarkovChain:
                     self.stats.counterexamples_added += 1
                     self.discovered_counterexamples.append(
                         equivalence.counterexample)
-                    candidate_outputs = self.tests.run_candidate(candidate)
-                    source_outputs = self.tests.source_outputs
+                    # The error then covers the new test too.
+                    distances, _ = self._score(candidate, perf, None)
+                    count = len(self.tests)
             if equivalence.equivalent and safety_result is not None \
                     and safety_result.safe:
                 self._record_verified(candidate, started)
         else:
             self.stats.test_failures += 1
 
-        error = error_cost(source_outputs, candidate_outputs, settings, unequal)
-        perf = performance_cost(self.source, candidate, settings,
-                                self.latency_model)
+        error = error_from_distances(distances[:count], settings, unequal)
         return total_cost(error, perf, safe_cost, settings), unequal
+
+    # ------------------------------------------------------------------ #
+    def _score(self, candidate: BpfProgram, perf: float,
+               u: Optional[float]) -> _Scores:
+        """Per-test scores of ``candidate``, extended to the whole suite.
+
+        The memo supplies the prefix already scored; one engine batch runs
+        the rest.  With ``u`` the batch stops after the first test at which
+        :meth:`_prefix_rejects` holds, leaving the entry a prefix.
+        """
+        key = candidate.content_key()
+        memo = self._scores
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = ([], [])
+            if len(memo) > SCORE_MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        distances, equal = entry
+        suite = self.tests
+        start = len(distances)
+        if start == len(suite):
+            return entry
+
+        bounded = u is not None and self.lazy_safety and \
+            self.settings.alpha > 0 and self.beta_anneal > 0
+        total = sum(distances)
+        wrong = sum(1 for d in distances if d > 0)
+        failed = not all(equal)
+        if bounded and failed and \
+                self._prefix_rejects(total, wrong, start, perf, u):
+            return entry
+
+        source_outputs = suite.source_outputs
+        observables = suite.source_observables
+        diff_kind = self.settings.diff_kind
+
+        def record(index, output) -> bool:
+            nonlocal total, wrong, failed
+            same = output.observable() == observables[index]
+            # Equal observables (return value, packet, maps, fault flag)
+            # have distance 0.0 by definition of output_distance.
+            distance = 0.0 if same else output_distance(
+                source_outputs[index], output, diff_kind)
+            distances.append(distance)
+            equal.append(same)
+            if not bounded:
+                return False
+            total += distance
+            wrong += distance > 0
+            failed = failed or not same
+            return failed and \
+                self._prefix_rejects(total, wrong, index + 1, perf, u)
+
+        suite.run_candidate(candidate, start, record)
+        return entry
+
+    def _prefix_rejects(self, total: float, wrong: int, seen: int,
+                        perf: float, u: float) -> bool:
+        """Whether a failing ``seen``-test prefix already forces rejection.
+
+        Once a test failed, the full cost is ``total_cost(err, perf, 0)``:
+        lazy safety skips the analysis and ``unequal`` is 1.
+        :func:`error_lower_bound` bounds ``err`` from below; ``alpha > 0``
+        makes the cost monotone in it and ``beta_anneal > 0`` the acceptance
+        probability antitone in the cost, and inflating that probability by
+        ``BOUND_SLACK`` covers ``exp`` rounding.  ``True`` here is therefore
+        exactly a rejection of the fully scored candidate with draw ``u``.
+        """
+        bound = total_cost(
+            error_lower_bound(total, wrong, seen, len(self.tests),
+                              self.settings),
+            perf, 0.0, self.settings)
+        current = self._current_cost
+        return bound > current and u >= math.exp(
+            -self.beta_anneal * (bound - current)) * (1.0 + BOUND_SLACK)
 
     # ------------------------------------------------------------------ #
     def _check_equivalence(self, candidate: BpfProgram) -> EquivalenceResult:

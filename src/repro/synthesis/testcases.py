@@ -10,12 +10,12 @@ or the safety checker.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..bpf.hooks import CtxFieldKind
 from ..bpf.program import BpfProgram
 from ..engine import create_engine
-from ..interpreter import Interpreter, ProgramInput, ProgramOutput
+from ..interpreter import ProgramInput, ProgramOutput
 
 __all__ = ["TestCaseGenerator", "TestSuite"]
 
@@ -93,18 +93,21 @@ class TestCaseGenerator:
 
 
 class TestSuite:
-    """The growing set of tests shared by one synthesis run (Fig. 1)."""
+    """The growing set of tests shared by one synthesis run (Fig. 1).
+
+    The suite only ever appends (counterexamples), except for a checkpoint
+    restore, which replaces every accumulated counterexample at once
+    (:meth:`replace_counterexamples`).  Per-test results for a fixed
+    program therefore stay valid for the suite's prefix, which is what the
+    search's per-chain score memo relies on.
+    """
 
     def __init__(self, source: BpfProgram, num_initial: int = 24, seed: int = 0,
-                 interpreter: Optional[Interpreter] = None,
                  engine=None):
         self.source = source
         # One long-lived engine per suite: its decode cache persists across
-        # every candidate evaluation of the owning chain.  ``interpreter`` is
-        # the pre-engine name for the same slot, kept for compatibility.
-        self.engine = engine if engine is not None \
-            else (interpreter or create_engine())
-        self.interpreter = self.engine
+        # every candidate evaluation of the owning chain.
+        self.engine = engine if engine is not None else create_engine()
         self.generator = TestCaseGenerator(source, seed=seed)
         #: How many leading tests are seed-generated (everything after them
         #: is an accumulated counterexample — the part a checkpoint stores;
@@ -112,19 +115,48 @@ class TestSuite:
         self.num_initial = num_initial
         self.tests: List[ProgramInput] = self.generator.generate(num_initial)
         self._seen = {test.freeze_key() for test in self.tests}
-        self._source_outputs: Optional[List[ProgramOutput]] = None
+        self._source_outputs: List[ProgramOutput] = []
+        self._source_observables: List[tuple] = []
 
     # ------------------------------------------------------------------ #
     @property
     def source_outputs(self) -> List[ProgramOutput]:
-        if self._source_outputs is None or \
-                len(self._source_outputs) != len(self.tests):
-            self._source_outputs = self.engine.run_batch(self.source,
-                                                         self.tests)
+        """The source's outputs, aligned with :attr:`tests`."""
+        self._run_source()
         return self._source_outputs
 
-    def run_candidate(self, candidate: BpfProgram) -> List[ProgramOutput]:
-        return self.engine.run_batch(candidate, self.tests)
+    @property
+    def source_observables(self) -> List[tuple]:
+        """``observable()`` of every source output, aligned with :attr:`tests`."""
+        self._run_source()
+        return self._source_observables
+
+    def _run_source(self) -> None:
+        # Runs the source on new tests only; the lists are rebuilt rather
+        # than extended, so a caller's earlier copy never changes length.
+        done = len(self._source_outputs)
+        if done < len(self.tests):
+            fresh = self.engine.run_batch(self.source, self.tests[done:])
+            self._source_outputs = self._source_outputs + fresh
+            self._source_observables = self._source_observables + [
+                output.observable() for output in fresh]
+
+    def run_candidate(self, candidate: BpfProgram, start: int = 0,
+                      until: Optional[Callable[[int, ProgramOutput], bool]]
+                      = None) -> List[ProgramOutput]:
+        """Run ``candidate`` on ``tests[start:]`` in one engine batch.
+
+        ``until(index, output)`` — ``index`` into :attr:`tests` — ends the
+        batch after the first output it accepts (that output included).
+        """
+        if not start:
+            return self.engine.run_batch(candidate, self.tests, until=until)
+        stop = until
+        if stop is not None:
+            def until(index, output):
+                return stop(start + index, output)
+        return self.engine.run_batch(candidate, self.tests[start:],
+                                     until=until)
 
     def add_counterexample(self, test: ProgramInput) -> bool:
         """Add a counterexample returned by a checker; dedup by content."""
@@ -133,8 +165,22 @@ class TestSuite:
             return False
         self._seen.add(key)
         self.tests.append(test)
-        self._source_outputs = None
         return True
+
+    def replace_counterexamples(self, tests: Sequence[ProgramInput]) -> None:
+        """Drop every accumulated counterexample, then add ``tests``.
+
+        The checkpoint-restore path: the seed-generated prefix (and the
+        source's outputs on it) stays, everything after it is replaced, so
+        per-test results cached against the old suite are stale.
+        """
+        del self.tests[self.num_initial:]
+        self._seen = {test.freeze_key() for test in self.tests}
+        self._source_outputs = self._source_outputs[:self.num_initial]
+        self._source_observables = \
+            self._source_observables[:self.num_initial]
+        for test in tests:
+            self.add_counterexample(test)
 
     def __len__(self) -> int:
         return len(self.tests)

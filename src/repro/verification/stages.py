@@ -180,7 +180,9 @@ class InterpreterReplayStage(VerificationStage):
             # first-divergence early exit — a short return pinpoints the
             # refuting test.
             got = pipeline.engine.run_batch(
-                candidate, tests, expected_observables=observables)
+                candidate, tests,
+                until=lambda index, output:
+                    output.observable() != observables[index])
         except Exception as exc:  # broken candidate: let the solver tiers
             return StageVerdict(self.name, StageOutcome.ESCALATE,
                                 detail=f"replay failed: {exc}")

@@ -1,18 +1,19 @@
 """Property tests for vectorized batch replay (``run_batch``).
 
 ``run_batch`` is the replay stage's hot path: one decode, one machine, a
-batch of pooled tests, with two early exits — ``stop_on_first_fault`` and
-the ``expected``-divergence exit the verification pipeline uses to pinpoint
-a refuting counterexample.  The contract, for every engine kind, is that a
+batch of pooled tests, with one early exit — the ``until(index, output)``
+predicate, which the verification pipeline uses to pinpoint a refuting
+counterexample and the search loop uses to stop once the Metropolis-Hastings
+decision is settled.  The contract, for every engine kind, is that a
 batched run is indistinguishable from N sequential :meth:`run` calls:
 
 * identical output fingerprints (return value, packet, maps, fault kind
   and text, step count, estimated nanoseconds) in identical order;
-* ``stop_on_first_fault`` returns exactly the prefix up to and including
-  the first faulting output;
-* ``expected=`` returns exactly the prefix up to and including the first
-  output whose ``observable()`` diverges from the aligned reference, so
-  ``len(result) - 1`` is the refuting index.
+* ``until`` returns exactly the prefix up to and including the first
+  output it accepts — with a fault predicate, the first faulting output;
+  with a divergence predicate, the first output whose ``observable()``
+  differs from the aligned reference, so ``len(result) - 1`` is the
+  refuting index.
 
 Hypothesis drives the candidate shapes (proposal-mutation chains over
 corpus programs) and the batch shapes (sizes, duplicate tests, early-exit
@@ -86,8 +87,9 @@ class TestBatchEqualsSequential:
         tests = _tests(program, size, seed)
         sequential = [create_engine(kind).run(program, test)
                       for test in tests]
-        truncated = create_engine(kind).run_batch(program, tests,
-                                                  stop_on_first_fault=True)
+        truncated = create_engine(kind).run_batch(
+            program, tests,
+            until=lambda index, output: output.fault is not None)
         faults = [index for index, output in enumerate(sequential)
                   if output.fault is not None]
         expected_len = faults[0] + 1 if faults else len(tests)
@@ -112,8 +114,10 @@ class TestBatchEqualsSequential:
         expected = engine.run_batch(source, tests)
         sequential = [create_engine(kind).run(candidate, test)
                       for test in tests]
-        got = create_engine(kind).run_batch(candidate, tests,
-                                            expected=expected)
+        got = create_engine(kind).run_batch(
+            candidate, tests,
+            until=lambda index, output:
+                output.observable() != expected[index].observable())
         diverging = [index for index, (a, b) in
                      enumerate(zip(sequential, expected))
                      if a.observable() != b.observable()]

@@ -257,8 +257,9 @@ class TestRunBatch:
     def test_stop_on_first_fault_truncates_batch(self):
         program, good, bad = self._faulting_setup()
         for engine in (ExecutionEngine(), Interpreter()):
-            outputs = engine.run_batch(program, [good, bad, good],
-                                       stop_on_first_fault=True)
+            outputs = engine.run_batch(
+                program, [good, bad, good],
+                until=lambda index, output: output.fault is not None)
             assert len(outputs) == 2
             assert outputs[0].fault is None
             assert outputs[1].fault is not None
